@@ -1,11 +1,12 @@
-// Batch-vs-scalar programming throughput (perf claim of the SoA kernel).
+// Word-vs-single-cell programming throughput (perf claim of the SoA kernel).
 //
 // Programs N cells — SET then terminated RESET across the 16-level IrefR bank
-// — twice: once as a serial loop of FastCell operations (52-halving bisection
-// per time step), once through oxram::CellBatch (warm-started Newton, lockstep
-// lanes, termination masking + retirement). Reports cells/s for
-// N in {16, 256, 4096} and the speedup; the acceptance bar is >= 5x on the
-// 4096-cell sweep in a single-threaded Release build.
+// — as a serial loop of FastCell operations (each a one-lane batch), then as
+// N-lane oxram::CellBatch runs on the reference engine and on the dispatched
+// pack engine (lockstep lanes, termination masking + retirement). Reports
+// cells/s for N in {16, 256, 4096}: `speedup` is what lockstep grouping adds
+// over one-lane batches, `vector_speedup` what the pack engine adds over the
+// scalar reference engine.
 //
 // Writes batch_throughput.csv (+ the standard telemetry sidecar) and a
 // BENCH_batch.json summary consumed by the bench-smoke CI assertions.
@@ -32,7 +33,7 @@ struct Sweep {
   double scalar_cps = 0.0;
   double reference_cps = 0.0;  // batch engine forced to the scalar reference
   double batch_cps = 0.0;      // dispatched engine (SIMD when available)
-  double speedup = 0.0;        // batch vs serial FastCell loop
+  double speedup = 0.0;        // batch vs serial FastCell (one-lane) loop
   double vector_speedup = 0.0;  // batch vs reference-engine batch
 };
 
@@ -49,9 +50,9 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Batch throughput", "SoA batch kernel vs serial FastCell loop",
+      "Batch throughput", "SoA batch kernel vs serial one-lane FastCell loop",
       "(implementation claim: whole-word/array programming through the "
-      "warm-started lockstep kernel, >= 5x at 4096 cells, identical physics)");
+      "lockstep kernel beats one-lane batches, identical physics)");
 
   const auto allocation =
       mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin, mlc::kPaperIrefMax);

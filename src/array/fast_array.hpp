@@ -33,14 +33,12 @@ class FastArray {
 
   const oxram::OxramVariability& variability() const { return variability_; }
 
-  // FORMING for every cell (one-time, Table 1 FMG conditions). Routed through
-  // the SoA batch kernel; a trajectory-recording request falls back to the
-  // scalar per-cell path.
+  // FORMING for every cell (one-time, Table 1 FMG conditions), as one batch.
   void form_all(const oxram::FormingOperation& op = {});
 
   // Batched word/image programming entry points (oxram::CellBatch underneath).
   // Each refreshes the touched cells' C2C rate factors — one draw per cell,
-  // exactly as a scalar refresh+apply loop would — then advances every cell
+  // exactly as a per-cell refresh+apply loop would — then advances every cell
   // in lockstep with per-lane termination masking. Results are indexed by
   // column (word forms) or row-major cell index (image form).
   //

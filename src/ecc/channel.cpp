@@ -119,8 +119,8 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
                       std::move(cell_rng), 0.0, 0.0, 0.0, 0.0, 0.0});
   }
 
-  // Whole-word program through the batched terminated-RESET path (same
-  // sampled conditions as N scalar calls, per the program_word contract).
+  // Whole-word program through the batched terminated-RESET path (the same
+  // outcomes as N per-cell program() calls, per the program_word contract).
   {
     std::vector<oxram::FastCell*> cell_ptrs(cells);
     std::vector<Rng*> rng_ptrs(cells);

@@ -4,9 +4,9 @@
 // correcting any single-bit error and detecting any double-bit error per
 // word. With Gray-coded 4-bit cells (see ecc/gray.hpp) a 72-bit codeword
 // occupies 18 cells and a one-level decode slip flips exactly one stored
-// bit, which SECDED then corrects. Promoted here from `mlc/ecc.hpp` (which
-// remains as a deprecation shim) so the code catalog, the injection bridge
-// and the policy explorer all live in one rank-ordered module.
+// bit, which SECDED then corrects. It lives in the ecc module so the code
+// catalog, the injection bridge and the policy explorer share one
+// rank-ordered module.
 #pragma once
 
 #include <cstdint>

@@ -95,7 +95,7 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
   // The whole word goes through the batched programmer: one SET batch, one
   // parallel RST batch with per-bit-line termination masking — the same flow
   // the paper's control logic drives, and the fast path for array-scale
-  // writes. Outcomes match per-cell program() calls to solver tolerance.
+  // writes. Outcomes are bit-identical to per-cell program() calls.
   std::vector<oxram::FastCell*> cells(array_.cols());
   std::vector<Rng*> rngs(array_.cols());
   for (std::size_t col = 0; col < array_.cols(); ++col) {

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "obs/registry.hpp"
-#include "util/error.hpp"
 #include "util/parallel_for.hpp"
 
 namespace oxmlc::oxram {
@@ -32,25 +31,22 @@ struct BatchMetrics {
 std::size_t CellBatch::add_reset(FastCell& cell, const ResetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kReset, op.v_wl,
                   /*through_mirror=*/op.iref.has_value(), op.iref.value_or(-1.0),
-                  op.termination_delay, op.record_trajectory, op.dt_max);
+                  op.termination_delay, op.dt_max);
 }
 
 std::size_t CellBatch::add_set(FastCell& cell, const SetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.record_trajectory, op.dt_max);
+                  -1.0, 0.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_forming(FastCell& cell, const FormingOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.record_trajectory, op.dt_max);
+                  -1.0, 0.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
                                 Polarity polarity, double v_wl, bool through_mirror,
-                                double iref, double termination_delay,
-                                bool record_trajectory, double dt_max) {
-  OXMLC_CHECK(!record_trajectory,
-              "CellBatch: trajectory recording is not supported in batch mode");
+                                double iref, double termination_delay, double dt_max) {
   const std::size_t lane = gap_.size();
 
   gap_.push_back(cell.gap());
@@ -87,7 +83,7 @@ std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
 
 double CellBatch::drive_value(const LaneControl& lane, double t) const {
   // Natural trapezoid until a termination command; afterwards the drive ramps
-  // down from its value at the command instant (same as FastCell::run_pulse).
+  // down from its value at the command instant.
   if (lane.ramp_start < 0.0 || t <= lane.ramp_start) return lane.natural.value(t);
   const double into = t - lane.ramp_start;
   if (into >= lane.pulse.fall) return 0.0;
@@ -143,7 +139,8 @@ CellBatch::StepPolicy CellBatch::step_policy(const LaneControl& c,
                                              const OperationResult& result,
                                              double current) const {
   // Near the termination crossing the step is refined so the gap moves only a
-  // sliver of g0 per step (identical policy to FastCell::run_pulse).
+  // sliver of g0 per step: the decision current maps exponentially to R, so
+  // crossing-localization error converts 1:1 into programmed-R error.
   StepPolicy policy{0.1, c.dt_max};
   if (c.iref >= 0.0 && !result.terminated && current > 0.0 && current < 2.0 * c.iref) {
     policy.gap_fraction = 0.004;
@@ -181,7 +178,7 @@ bool CellBatch::step_lane(std::size_t lane) {
 
   update_sample(lane, v_d, sp.current, sp.v_cell);
 
-  // --- choose the next step (identical policy to FastCell::run_pulse) ---
+  // --- choose the next step ---
   const StepPolicy policy = step_policy(c, results_[lane], sp.current);
   double dt = std::min(policy.dt_cap,
                        recommended_dt(p, v_cell_signed, gap_[lane], c.virgin,

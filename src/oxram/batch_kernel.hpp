@@ -1,12 +1,12 @@
 // Batched structure-of-arrays fast path: N cells advanced in lockstep
 // through the quasi-static stack solve and gap ODE.
 //
-// The scalar path (fast_cell.hpp) programs one cell at a time; array-scale
-// workloads — a 16-cell word RESET, a 16-level Monte-Carlo trial, a full
-// array image — are loops over it, O(cells) serial inner bisections. This
-// kernel holds the hot per-lane state (gap, warm-start current, C2C rate
-// factor, sampled device parameters) in contiguous arrays and advances every
-// active lane one time step per round:
+// This is the one pulse engine of the fast tier. A single-cell operation
+// (FastCell::apply_*) is a one-lane batch; array-scale workloads — a 16-cell
+// word RESET, a 16-level Monte-Carlo trial, a full array image — add one lane
+// per cell. The kernel holds the hot per-lane state (gap, warm-start current,
+// C2C rate factor, sampled device parameters) in contiguous arrays and
+// advances every active lane one time step per round:
 //
 //   while lanes remain active:
 //     for each active lane: solve stack (warm-start Newton), advance gap ODE
@@ -17,16 +17,15 @@
 // its commanded ramp-down and retires, while neighbouring lanes keep
 // programming to their own (deeper) references.
 //
-// Each lane replays exactly the control flow of FastCell::run_pulse — same
-// waveform, same termination interpolation, same step-size policy, same gap
-// integrator — and the stack solve converges to the same root within the
-// shared kStackSolveRelTol (see fast_cell.hpp). The only difference is the
-// solver: warm-started safeguarded Newton (~3-5 residual evaluations) in
-// place of the scalar path's ~52-halving bisection. The batch-vs-scalar
-// equivalence suite (tests/batch_kernel_test.cpp) pins the agreement.
-//
-// Trajectory recording is a scalar-path-only feature: add_* throws when an
-// operation requests it.
+// Every lane follows one control flow — trapezoidal waveform, linear
+// interpolation of the termination crossing, near-crossing step refinement,
+// waveform-corner snapping, the model's gap integrator. Two stack-solver
+// formulations run it: the SIMD pack engine (batch_simd.cpp, the default)
+// and the scalar reference step_lane (Backend::kReference: warm-started
+// safeguarded Newton on the current). Both converge to the shared
+// kStackSolveRelTol (see fast_cell.hpp); the equivalence suites
+// (tests/batch_kernel_test.cpp, tests/simd_equivalence_test.cpp) pin their
+// agreement at 1e-9.
 #pragma once
 
 #include <cstddef>
@@ -75,9 +74,8 @@ class CellBatch {
   void clear();
 
  private:
-  // Cold per-lane state: the operation spec and the stepping variables of
-  // FastCell::run_pulse, hoisted out of the call stack so a lane can be
-  // advanced one step at a time.
+  // Cold per-lane state: the operation spec and the pulse's stepping
+  // variables, kept per lane so a lane can be advanced one step at a time.
   struct LaneControl {
     PulseShape pulse;
     spice::PulseWaveform natural{spice::PulseSpec{}};
@@ -101,7 +99,7 @@ class CellBatch {
 
   std::size_t add_lane(FastCell& cell, const PulseShape& pulse, Polarity polarity,
                        double v_wl, bool through_mirror, double iref,
-                       double termination_delay, bool record_trajectory, double dt_max);
+                       double termination_delay, double dt_max);
 
   double drive_value(const LaneControl& lane, double t) const;
 

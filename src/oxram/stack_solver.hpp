@@ -1,6 +1,7 @@
-// Internal: the quasi-static stack residual shared by the scalar solver
-// (solve_stack, bisection) and the batched warm-start solver
-// (solve_stack_warm, safeguarded Newton; see batch_kernel.hpp).
+// Internal: the quasi-static stack residual shared by the bisection solver
+// (solve_stack, used by reads) and the warm-start solver of the batch
+// reference engine (solve_stack_warm, safeguarded Newton; see
+// batch_kernel.hpp).
 //
 // Both solvers find the root of the same strictly decreasing function
 //
@@ -8,7 +9,7 @@
 //
 // so factoring the residual here guarantees the two paths agree on the
 // *equation* and differ only in how many evaluations they spend converging —
-// the property the batch-vs-scalar equivalence suite leans on. F' <= -1
+// the property the solver equivalence suite leans on. F' <= -1
 // everywhere (the -I term; the access-device terms only make it more
 // negative), which gives the Newton path a global error bound:
 // |I - root| <= |F(I)|.

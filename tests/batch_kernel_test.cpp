@@ -1,16 +1,20 @@
-// Batch-vs-scalar equivalence suite for the SoA fast-path kernel.
+// Solver-equivalence suite for the SoA cell engine.
 //
-// The batch kernel replays the scalar run_pulse control flow with a
-// warm-started Newton stack solve in place of the scalar bisection; both
-// solvers converge to the shared kStackSolveRelTol, so every observable of a
+// FastCell operations run as one-lane CellBatches, so every pulse goes
+// through one control flow. Two stack-solver formulations run it: the
+// dispatched pack engine (v_cell-primal masked Newton) and the scalar
+// reference engine (Backend::kReference: warm-started current Newton). Both
+// converge to the shared kStackSolveRelTol, so every observable of a
 // programmed cell (final gap, read current, termination time, energy) must
-// agree between the two paths to well under the 1e-9 relative tolerance
-// asserted here.
+// agree between the two engines to well under the 1e-9 relative tolerance
+// asserted here. Within one engine a cell's result does not depend on which
+// batch it runs in, which the one-lane-vs-word case pins bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "engine_scope.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
 #include "obs/registry.hpp"
@@ -18,7 +22,6 @@
 #include "oxram/fast_cell.hpp"
 #include "oxram/model.hpp"
 #include "oxram/stack_solver.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -124,7 +127,7 @@ TEST(StackSolver, WarmStartHandlesNonConductingStack) {
 }
 
 // ---------------------------------------------------------------------------
-// batch kernel vs serial FastCell
+// pack engine vs scalar reference engine
 // ---------------------------------------------------------------------------
 
 TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
@@ -141,21 +144,26 @@ TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
     reset_rates.push_back(sample_cycle_rate_factor(config.variability, c2c_rng));
   }
 
-  // Scalar reference: SET then terminated RESET per cell, one at a time.
+  // Scalar reference: SET then terminated RESET per cell, one at a time, on
+  // the reference engine.
   std::vector<FastCell> scalar_cells;
   std::vector<OperationResult> scalar_resets;
-  for (std::size_t k = 0; k < n_levels; ++k) {
-    FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
-    cell.set_rate_factor(set_rates[k]);
-    cell.apply_set(config.set_op);
-    ResetOperation reset = config.reset_op;
-    reset.iref = config.allocation.levels[k].iref;
-    cell.set_rate_factor(reset_rates[k]);
-    scalar_resets.push_back(cell.apply_reset(reset));
-    scalar_cells.push_back(cell);
+  {
+    const testing_support::ScopedBackend reference(num::simd::Backend::kReference);
+    for (std::size_t k = 0; k < n_levels; ++k) {
+      FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
+      cell.set_rate_factor(set_rates[k]);
+      cell.apply_set(config.set_op);
+      ResetOperation reset = config.reset_op;
+      reset.iref = config.allocation.levels[k].iref;
+      cell.set_rate_factor(reset_rates[k]);
+      scalar_resets.push_back(cell.apply_reset(reset));
+      scalar_cells.push_back(cell);
+    }
   }
 
-  // Batch path: all 16 SETs as one batch, then all 16 RESETs as one batch.
+  // Batch path on the dispatched engine: all 16 SETs as one batch, then all
+  // 16 RESETs as one batch.
   std::vector<FastCell> batch_cells;
   for (std::size_t k = 0; k < n_levels; ++k) {
     batch_cells.push_back(FastCell::formed_lrs(devices[k], config.stack));
@@ -203,8 +211,11 @@ TEST(CellBatch, FormingEquivalenceAgainstScalar) {
   }
   for (FastCell& cell : batch_cells) batch.add_forming(cell, forming);
   batch.run();
+  {
+    const testing_support::ScopedBackend reference(num::simd::Backend::kReference);
+    for (FastCell& cell : scalar_cells) cell.apply_forming(forming);
+  }
   for (std::size_t k = 0; k < devices.size(); ++k) {
-    scalar_cells[k].apply_forming(forming);
     EXPECT_FALSE(batch_cells[k].virgin());
     EXPECT_EQ(batch_cells[k].virgin(), scalar_cells[k].virgin());
     EXPECT_LT(rel_diff(batch_cells[k].gap(), scalar_cells[k].gap()), 1e-9);
@@ -220,15 +231,15 @@ TEST(CellBatch, StaggeredTerminationMasking) {
   // per-lane reference currents alone, making the ordering deterministic.
   const std::vector<OxramParams> devices(16, OxramParams{});
 
-  const std::uint64_t retired_before =
-      obs::registry().counter("batch.lanes_retired").value();
-
   std::vector<FastCell> cells;
   CellBatch batch;
   for (std::size_t k = 0; k < devices.size(); ++k) {
     cells.push_back(FastCell::formed_lrs(devices[k], config.stack));
     cells[k].apply_set(config.set_op);
   }
+  // Read after the SETs, which are one-lane batches themselves.
+  const std::uint64_t retired_before =
+      obs::registry().counter("batch.lanes_retired").value();
   for (std::size_t k = 0; k < devices.size(); ++k) {
     ResetOperation reset = config.reset_op;
     reset.iref = config.allocation.levels[k].iref;
@@ -250,14 +261,42 @@ TEST(CellBatch, StaggeredTerminationMasking) {
   EXPECT_GT(obs::registry().counter("batch.steps").value(), 0u);
 }
 
-TEST(CellBatch, RejectsTrajectoryRecording) {
-  const OxramParams nominal;
-  const StackConfig stack;
-  FastCell cell = FastCell::formed_lrs(nominal, stack);
-  ResetOperation op;
-  op.record_trajectory = true;
+// A FastCell operation is a one-lane batch: the same sampled cell gives
+// bit-identical results alone and as lane k of a 16-lane word, because the
+// pack engine's lane updates never depend on which lanes share a pack.
+TEST(CellBatch, FastCellResetMatchesLaneOfWordBitwise) {
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
+  const std::size_t n = 16;
+  const std::size_t k = 5;
+  const std::vector<OxramParams> devices = sampled_devices(n, 0x1A4E);
+
+  std::vector<FastCell> word;
+  for (const OxramParams& device : devices) {
+    word.push_back(FastCell::formed_lrs(device, config.stack));
+    word.back().set_rate_factor(1.07);
+  }
+  FastCell alone = word[k];
+  const auto reset_for = [&](std::size_t lane) {
+    ResetOperation reset = config.reset_op;
+    reset.iref = config.allocation.levels[lane].iref;
+    return reset;
+  };
+
   CellBatch batch;
-  EXPECT_THROW(batch.add_reset(cell, op), InvalidArgumentError);
+  for (std::size_t lane = 0; lane < n; ++lane) {
+    batch.add_reset(word[lane], reset_for(lane));
+  }
+  const std::vector<OperationResult> lanes = batch.run();
+  const OperationResult single = alone.apply_reset(reset_for(k));
+
+  EXPECT_TRUE(single.terminated);
+  EXPECT_EQ(single.terminated, lanes[k].terminated);
+  EXPECT_EQ(single.final_gap, lanes[k].final_gap);
+  EXPECT_EQ(alone.gap(), word[k].gap());
+  EXPECT_EQ(single.t_terminate, lanes[k].t_terminate);
+  EXPECT_EQ(single.t_end, lanes[k].t_end);
+  EXPECT_EQ(single.energy_source, lanes[k].energy_source);
+  EXPECT_EQ(single.energy_cell, lanes[k].energy_cell);
 }
 
 TEST(CellBatch, ClearAllowsReuse) {

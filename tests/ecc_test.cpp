@@ -9,11 +9,12 @@
 #include "ecc/channel.hpp"
 #include "ecc/code.hpp"
 #include "ecc/explorer.hpp"
-#include "mlc/ecc.hpp"
+#include "ecc/gray.hpp"
+#include "ecc/secded.hpp"
 #include "mlc/program.hpp"
 #include "util/rng.hpp"
 
-namespace oxmlc::mlc {
+namespace oxmlc::ecc {
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ TEST(SecdedQlc, BinaryMappingWouldNotEnjoyThatGuarantee) {
 }
 
 }  // namespace
-}  // namespace oxmlc::mlc
+}  // namespace oxmlc::ecc
 
 namespace oxmlc::ecc {
 namespace {

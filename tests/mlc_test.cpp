@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "engine_scope.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/margins.hpp"
 #include "mlc/mc_study.hpp"
@@ -432,13 +433,19 @@ TEST(Baselines, IcSetProducesDistinctLrsLevels) {
 // mc study plumbing
 // ---------------------------------------------------------------------------
 
-TEST(McStudy, SingleLevelIsDeterministic) {
-  auto config = paper_mc_study(4, 8);
-  const auto a = run_single_level(config, 3);
-  const auto b = run_single_level(config, 3);
-  ASSERT_EQ(a.resistance.size(), 8u);
-  for (std::size_t i = 0; i < a.resistance.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.resistance[i], b.resistance[i]);
+TEST(McStudy, LevelStudyIsDeterministic) {
+  const auto config = paper_mc_study(4, 8);
+  const auto a = run_level_study(config);
+  const auto b = run_level_study(config);
+  ASSERT_EQ(a.size(), 16u);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t level = 0; level < a.size(); ++level) {
+    ASSERT_EQ(a[level].resistance.size(), 8u);
+    for (std::size_t i = 0; i < a[level].resistance.size(); ++i) {
+      EXPECT_EQ(a[level].resistance[i], b[level].resistance[i]);
+      EXPECT_EQ(a[level].energy[i], b[level].energy[i]);
+      EXPECT_EQ(a[level].latency[i], b[level].latency[i]);
+    }
   }
 }
 
@@ -464,9 +471,10 @@ double rel_diff(double a, double b) {
 }
 }  // namespace
 
-// program_word must consume each cell's rng stream exactly as N scalar
+// program_word must consume each cell's rng stream exactly as N per-cell
 // program() calls would (identical sampled conditions) and land each cell on
-// the same state to stack-solver tolerance.
+// the same state to stack-solver tolerance when the per-cell side runs on the
+// scalar reference engine.
 TEST(Programmer, ProgramWordMatchesScalarProgram) {
   const QlcProgrammer programmer(test_config());
   const std::size_t n = 16;
@@ -488,8 +496,11 @@ TEST(Programmer, ProgramWordMatchesScalarProgram) {
   }
 
   std::vector<ProgramOutcome> scalar;
-  for (std::size_t k = 0; k < n; ++k) {
-    scalar.push_back(programmer.program(scalar_cells[k], levels[k], scalar_rngs[k]));
+  {
+    const testing_support::ScopedBackend reference(num::simd::Backend::kReference);
+    for (std::size_t k = 0; k < n; ++k) {
+      scalar.push_back(programmer.program(scalar_cells[k], levels[k], scalar_rngs[k]));
+    }
   }
 
   std::vector<oxram::FastCell*> cell_ptrs(n);
@@ -519,23 +530,50 @@ TEST(Programmer, ProgramWordMatchesScalarProgram) {
                InvalidArgumentError);
 }
 
-TEST(McStudy, BatchedStudyMatchesScalarStudy) {
-  auto config = paper_mc_study(4, 3);
-  config.batch_levels = true;
-  const auto batched = run_level_study(config);
-  config.batch_levels = false;
-  const auto scalar = run_level_study(config);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (std::size_t level = 0; level < scalar.size(); ++level) {
-    ASSERT_EQ(batched[level].resistance.size(), scalar[level].resistance.size());
-    for (std::size_t t = 0; t < scalar[level].resistance.size(); ++t) {
-      EXPECT_LT(rel_diff(batched[level].resistance[t], scalar[level].resistance[t]), 1e-7)
-          << "level " << level << " trial " << t;
-      EXPECT_LT(rel_diff(batched[level].latency[t], scalar[level].latency[t]), 1e-7)
-          << "level " << level << " trial " << t;
-      EXPECT_LT(rel_diff(batched[level].energy[t], scalar[level].energy[t]), 1e-6)
-          << "level " << level << " trial " << t;
-    }
+// program() is a one-cell program_word: on the same engine, programming a
+// cell alone and as one bit of a 16-cell word gives bit-identical outcomes.
+TEST(Programmer, ProgramIsBitIdenticalToProgramWord) {
+  const QlcProgrammer programmer(test_config());
+  const std::size_t n = 16;
+
+  std::vector<oxram::FastCell> single_cells, word_cells;
+  std::vector<Rng> single_rngs, word_rngs;
+  std::vector<std::size_t> levels(n);
+  Rng seeder(0x0E1A4E);
+  for (std::size_t k = 0; k < n; ++k) {
+    levels[k] = (5 * k) % n;
+    Rng device_rng = seeder.split();
+    const auto device =
+        sample_device(oxram::OxramParams{}, oxram::OxramVariability{}, device_rng);
+    single_cells.push_back(oxram::FastCell::formed_lrs(device, oxram::StackConfig{}));
+    word_cells.push_back(single_cells.back());
+    const Rng stream = seeder.split();
+    single_rngs.push_back(stream);
+    word_rngs.push_back(stream);
+  }
+
+  std::vector<oxram::FastCell*> cell_ptrs(n);
+  std::vector<Rng*> rng_ptrs(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cell_ptrs[k] = &word_cells[k];
+    rng_ptrs[k] = &word_rngs[k];
+  }
+  const std::vector<ProgramOutcome> word =
+      programmer.program_word(cell_ptrs, levels, rng_ptrs);
+
+  for (std::size_t k = 0; k < n; ++k) {
+    const ProgramOutcome single =
+        programmer.program(single_cells[k], levels[k], single_rngs[k]);
+    EXPECT_EQ(single.level, word[k].level) << k;
+    EXPECT_EQ(single.terminated, word[k].terminated) << k;
+    EXPECT_EQ(single.effective_iref, word[k].effective_iref) << k;
+    EXPECT_EQ(single.resistance, word[k].resistance) << k;
+    EXPECT_EQ(single.latency, word[k].latency) << k;
+    EXPECT_EQ(single.energy, word[k].energy) << k;
+    EXPECT_EQ(single.set_energy, word[k].set_energy) << k;
+    EXPECT_EQ(single_cells[k].gap(), word_cells[k].gap()) << k;
+    // Both paths drew the same number of values from the cell's stream.
+    EXPECT_EQ(single_rngs[k].uniform(), word_rngs[k].uniform()) << k;
   }
 }
 

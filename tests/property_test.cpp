@@ -167,7 +167,6 @@ TEST_P(TerminatedResetProperty, PhysicalInvariantsHold) {
     oxram::ResetOperation op;
     op.iref = iref;
     op.pulse.width = 10e-6;
-    op.record_trajectory = true;
     const auto result = cell.apply_reset(op);
     ASSERT_TRUE(result.terminated);
 
@@ -180,11 +179,14 @@ TEST_P(TerminatedResetProperty, PhysicalInvariantsHold) {
     EXPECT_GT(r, 20e3);   // never below the shallowest MLC state
     EXPECT_LT(r, 600e3);  // never into the saturated-HRS decade
 
-    // At the crossing sample the current is within a few percent of iref.
-    double at_crossing = 0.0;
-    for (const auto& pt : result.trajectory) {
-      if (pt.t <= result.t_terminate) at_crossing = pt.current;
-    }
+    // At the final gap the plateau-bias current is within a few percent of
+    // iref: the pulse stopped where the comparator saw the crossing.
+    oxram::StackConfig plateau = cell.stack();
+    plateau.bl_through_mirror = true;
+    const double at_crossing =
+        oxram::solve_stack(device, cell.gap(), plateau, oxram::Polarity::kReset,
+                           op.pulse.amplitude, op.v_wl)
+            .current;
     EXPECT_NEAR(at_crossing, iref, 0.08 * iref);
 
     // Gap stays inside the physical window.
