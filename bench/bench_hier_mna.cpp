@@ -8,9 +8,18 @@
 // and hierarchical multi-thread. Reports wall-clock per transient and the two
 // ratios that matter:
 //
-//   speedup        = mono_s / hier1_s   (same machine, same run: gated in CI)
-//   thread_speedup = hier1_s / hierN_s  (reported, NOT gated — core counts
-//                                        differ across runners)
+//   speedup        = mono_s / hier1_s   (same machine, same run: gated in CI
+//                                        against the committed baseline)
+//   thread_speedup = x1 / xN wall        (same run: CI gates the
+//                                        no-anti-scaling floor >= 0.9 at
+//                                        every size, whatever the runner's
+//                                        core count; not compared with the
+//                                        baseline)
+//
+// The x1 and xN hierarchical runs alternate, --repeats pairs of them, and
+// thread_speedup is the median over the pairs of x1 / xN: each pair ran back
+// to back, so a slow episode of a shared machine cancels within the pair and
+// one outlier pair cannot move the median. hier1_s / hiern_s are best-of.
 //
 // Writes hier_mna.csv and BENCH_hier_mna.json for the compare_bench.py gate.
 // Correctness is asserted in-run: both paths must complete, and where both
@@ -26,6 +35,7 @@
 #include "array/bank_write_path.hpp"
 #include "bench_common.hpp"
 #include "obs/registry.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -121,13 +131,34 @@ int main(int argc, char** argv) {
     }
 
     {
-      auto hier_cfg = cfg;
-      hier_cfg.threads = 1;
-      const auto result = timed_run(hier_cfg, row.hier1_s);
+      auto hier1_cfg = cfg;
+      hier1_cfg.threads = 1;
+      auto hiern_cfg = cfg;
+      hiern_cfg.threads = threads;
+      array::BankWritePathResult result;
+      bool completed = true;
+      std::vector<double> pair_ratios;
+      for (std::size_t rep = 0; rep < repeats; ++rep) {
+        double pair[2] = {0.0, 0.0};  // x1, xN
+        for (const bool single : {rep % 2 == 0, rep % 2 != 0}) {
+          array::BankWritePath bank(single ? hier1_cfg : hiern_cfg);
+          const auto start = bench::now();
+          array::BankWritePathResult run = bank.run();
+          const double s = bench::seconds_since(start);
+          pair[single ? 0 : 1] = s;
+          double& best = single ? row.hier1_s : row.hiern_s;
+          if (rep == 0 || s < best) best = s;
+          completed = completed && run.transient.completed;
+          if (single) result = std::move(run);
+        }
+        pair_ratios.push_back(pair[0] / pair[1]);
+      }
+      std::sort(pair_ratios.begin(), pair_ratios.end());
+      row.thread_speedup = quantile(pair_ratios, 0.5);
       row.unknowns = result.unknowns;
       row.blocks = result.blocks;
       row.border = result.border_size;
-      if (!result.transient.completed) {
+      if (!completed) {
         std::cerr << "ERROR: hierarchical transient did not complete at "
                   << size << "x" << size << "\n";
         return 1;
@@ -144,19 +175,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    {
-      auto hier_cfg = cfg;
-      hier_cfg.threads = threads;
-      const auto result = timed_run(hier_cfg, row.hiern_s);
-      if (!result.transient.completed) {
-        std::cerr << "ERROR: multi-thread hierarchical transient did not "
-                     "complete at " << size << "x" << size << "\n";
-        return 1;
-      }
-    }
-
     if (row.mono_s > 0.0) row.speedup = row.mono_s / row.hier1_s;
-    if (row.hiern_s > 0.0) row.thread_speedup = row.hier1_s / row.hiern_s;
     rows.push_back(row);
   }
 

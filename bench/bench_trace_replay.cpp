@@ -8,14 +8,21 @@
 // perf claim of the PR: a million-request trace must replay in seconds, and
 // its simulated figures of merit must not silently degrade.
 //
+// `--threads 1,2,4` (the default) replays the same trace once per listed
+// worker count in one run; every replay's oxmlc.memsys.v1 document must equal
+// the first's byte for byte. BENCH_trace.json carries `wall_s` per count in
+// `thread_sweep` (CI gates the same-run no-anti-scaling ratio
+// wall_s@1 / wall_s@N >= 0.9) and, at top level, the widest count's wall.
+//
 // Writes trace_replay.csv (+ telemetry sidecar) and BENCH_trace.json for the
 // compare_bench.py CI perf gate. The gated metrics (sustained_mb_s,
 // row_hit_rate, retired_fraction) are SIMULATED quantities — pure functions
 // of (trace, geometry) — so the gate is immune to runner speed; wall-clock
-// replay rate is reported but not gated.
+// replay rate is reported but not gated against the baseline.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,17 +43,36 @@ std::size_t arg_or(int argc, char** argv, const std::string& flag,
   return fallback;
 }
 
+// Comma-separated worker counts after `flag` (e.g. "1,2,4"), or `fallback`.
+std::vector<std::size_t> list_arg(int argc, char** argv, const std::string& flag,
+                                  std::vector<std::size_t> fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (argv[i] != flag) continue;
+    std::vector<std::size_t> values;
+    std::istringstream in(argv[i + 1]);
+    std::string item;
+    while (std::getline(in, item, ',')) {
+      values.push_back(static_cast<std::size_t>(std::strtoul(item.c_str(), nullptr, 10)));
+    }
+    return values.empty() ? fallback : values;
+  }
+  return fallback;
+}
+
+struct SweepPoint {
+  std::size_t threads = 0;
+  double wall_s = 0.0;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t requests = arg_or(argc, argv, "--requests", 1'000'000);
-  const std::size_t threads = arg_or(argc, argv, "--threads", 0);
+  const std::vector<std::size_t> sweep_threads = list_arg(argc, argv, "--threads", {1, 2, 4});
 
   memsys::ReplayOptions options;
-  options.threads = threads;
-  options.fidelity.threads = threads;
   memsys::SyntheticTraceOptions workload;
   workload.requests = requests;
 
@@ -59,23 +85,44 @@ int main(int argc, char** argv) {
   const std::vector<memsys::TraceRequest> trace =
       memsys::synthesize_trace(options.geometry, workload);
 
-  const auto start = bench::now();
-  memsys::MemsysReport report = memsys::replay_trace(trace, options);
-  const double elapsed = bench::seconds_since(start);
+  memsys::MemsysReport report;
+  std::string reference_dump;
+  std::vector<SweepPoint> sweep;
+  for (const std::size_t threads : sweep_threads) {
+    options.threads = threads;
+    options.fidelity.threads = threads;
+    const auto start = bench::now();
+    report = memsys::replay_trace(trace, options);
+    sweep.push_back({threads, bench::seconds_since(start)});
+    const std::string dump = memsys::to_json(report).dump();
+    if (reference_dump.empty()) {
+      reference_dump = dump;
+    } else if (dump != reference_dump) {
+      std::cerr << "ERROR: the oxmlc.memsys.v1 report at " << threads
+                << " threads differs from the one at " << sweep_threads.front() << "\n";
+      return 1;
+    }
+  }
+  const std::size_t threads = sweep.back().threads;
+  const double elapsed = sweep.back().wall_s;
   const double replay_rate = static_cast<double>(requests) / elapsed;
   const double retired_fraction =
       static_cast<double>(report.requests_retired) / static_cast<double>(requests);
 
-  Table table({"requests", "wall (s)", "req/s", "sim (s)", "MB/s", "hit rate",
-               "p50 (ns)", "p99 (ns)", "p999 (ns)"});
-  table.add_row({std::to_string(requests), format_scaled(elapsed, 1.0, 2),
-                 format_scaled(replay_rate, 1.0, 0),
-                 format_scaled(report.simulated_seconds, 1.0, 4),
-                 format_scaled(report.sustained_mb_s, 1.0, 1),
-                 format_scaled(report.row_hit_rate, 1.0, 3),
-                 format_scaled(report.latency.p50_ns, 1.0, 0),
-                 format_scaled(report.latency.p99_ns, 1.0, 0),
-                 format_scaled(report.latency.p999_ns, 1.0, 0)});
+  Table table({"requests", "threads", "wall (s)", "req/s", "t1/tN", "sim (s)", "MB/s",
+               "hit rate", "p50 (ns)", "p99 (ns)", "p999 (ns)"});
+  for (const SweepPoint& point : sweep) {
+    table.add_row({std::to_string(requests), std::to_string(point.threads),
+                   format_scaled(point.wall_s, 1.0, 2),
+                   format_scaled(static_cast<double>(requests) / point.wall_s, 1.0, 0),
+                   format_scaled(sweep.front().wall_s / point.wall_s, 1.0, 2),
+                   format_scaled(report.simulated_seconds, 1.0, 4),
+                   format_scaled(report.sustained_mb_s, 1.0, 1),
+                   format_scaled(report.row_hit_rate, 1.0, 3),
+                   format_scaled(report.latency.p50_ns, 1.0, 0),
+                   format_scaled(report.latency.p99_ns, 1.0, 0),
+                   format_scaled(report.latency.p999_ns, 1.0, 0)});
+  }
   table.print(std::cout);
   std::cout << "\n  scrubs: " << report.scrub_commands
             << ", wear rotations: " << report.wear_rotations
@@ -85,20 +132,23 @@ int main(int argc, char** argv) {
             << ", witness cells scrubbed: " << report.witness.cells_scrubbed
             << "\n";
 
-  Table csv({"requests", "wall_s", "requests_per_s", "simulated_s",
+  Table csv({"requests", "threads", "wall_s", "requests_per_s", "simulated_s",
              "sustained_mb_s", "row_hit_rate", "p50_ns", "p99_ns", "p999_ns",
              "scrub_commands", "wear_rotations", "word_decode_errors"});
-  csv.add_row({std::to_string(requests), std::to_string(elapsed),
-               std::to_string(replay_rate),
-               std::to_string(report.simulated_seconds),
-               std::to_string(report.sustained_mb_s),
-               std::to_string(report.row_hit_rate),
-               std::to_string(report.latency.p50_ns),
-               std::to_string(report.latency.p99_ns),
-               std::to_string(report.latency.p999_ns),
-               std::to_string(report.scrub_commands),
-               std::to_string(report.wear_rotations),
-               std::to_string(report.word_tier.decode_errors)});
+  for (const SweepPoint& point : sweep) {
+    csv.add_row({std::to_string(requests), std::to_string(point.threads),
+                 std::to_string(point.wall_s),
+                 std::to_string(static_cast<double>(requests) / point.wall_s),
+                 std::to_string(report.simulated_seconds),
+                 std::to_string(report.sustained_mb_s),
+                 std::to_string(report.row_hit_rate),
+                 std::to_string(report.latency.p50_ns),
+                 std::to_string(report.latency.p99_ns),
+                 std::to_string(report.latency.p999_ns),
+                 std::to_string(report.scrub_commands),
+                 std::to_string(report.wear_rotations),
+                 std::to_string(report.word_tier.decode_errors)});
+  }
   bench::save_csv(csv, "trace_replay.csv");
 
   const std::string json_path = bench::csv_path("BENCH_trace.json");
@@ -120,7 +170,12 @@ int main(int argc, char** argv) {
        << ",\n  \"word_decode_errors\": " << report.word_tier.decode_errors
        << ",\n  \"mna_samples\": " << report.mna_tier.samples
        << ",\n  \"witness_cells_scrubbed\": " << report.witness.cells_scrubbed
-       << "\n}\n";
+       << ",\n  \"thread_sweep\": [";
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    json << (i ? ", " : "") << "{\"threads\": " << sweep[i].threads
+         << ", \"wall_s\": " << sweep[i].wall_s << "}";
+  }
+  json << "]\n}\n";
   json.close();
   std::cout << " [json written: " << json_path << "]\n";
 

@@ -141,10 +141,11 @@ def gated_metrics(bench: dict) -> dict[str, float]:
     elif bench.get("bench") == "hier_mna":
         # mono/hier ratios are measured back-to-back (best-of-N) on the same
         # machine in one run, so they are runner-speed-immune (like
-        # BENCH_trace). thread_speedup is deliberately NOT gated (CI core
-        # counts vary), and neither are the sub-32 points — those transients
-        # finish in tens of milliseconds, where the ratio is timing noise
-        # even best-of-N. 32x32 is the acceptance-criterion size (>=10x) and
+        # BENCH_trace). thread_speedup is not compared with the baseline (CI
+        # core counts vary); the bench-smoke job gates its same-run
+        # no-anti-scaling floor (>= 0.9) instead. Nor are the sub-32 points —
+        # those transients finish in tens of milliseconds, where the ratio
+        # is timing noise even best-of-N. 32x32 is the acceptance-criterion size (>=10x) and
         # its multi-second monolithic denominator keeps the ratio stable.
         for sweep in bench.get("sweeps", []):
             if "speedup" in sweep and sweep.get("size", 0) >= 32:

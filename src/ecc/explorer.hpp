@@ -53,7 +53,7 @@ struct EccStudyConfig {
   std::vector<std::uint64_t> rotations = {0, 2000};  // start-gap period, 0 = off
   std::size_t trials = 8;      // reference words per policy point
   std::uint64_t seed = 0xECC5EEDULL;
-  std::size_t threads = 0;     // 0 = hardware concurrency
+  std::size_t threads = 0;     // 0 = CPUs available
   double horizon_s = 1e7;      // read-back decade (matches the retention study)
   std::size_t mc_trials = 64;  // calibration-curve MC depth per bits value
 

@@ -50,7 +50,7 @@ struct NoContext {};
 struct McOptions {
   std::size_t trials = 500;  // the paper's MC depth (500 runs per level)
   std::uint64_t seed = 0xA21Cull;
-  std::size_t threads = 0;  // 0 = hardware_concurrency
+  std::size_t threads = 0;  // 0 = CPUs in this thread's affinity mask
 };
 
 // Derives the deterministic Rng of one trial.
@@ -75,18 +75,16 @@ std::vector<Sample> run_trials(
     const McOptions& options, const std::function<Context()>& make_context,
     const std::function<Sample(std::size_t, Rng&, Context&)>& trial) {
   std::vector<Sample> samples(options.trials);
-  const std::size_t threads = util::resolve_threads(options.threads, options.trials);
 
   detail::RunnerMetrics& metrics = detail::RunnerMetrics::get();
   metrics.runs.add();
   metrics.trials.add(options.trials);
-  metrics.threads.set(static_cast<double>(threads));
   const auto run_start = std::chrono::steady_clock::now();
   obs::ScopedTimer run_timer(metrics.run_time);
 
   util::ParallelForOptions pool;
-  pool.threads = threads;
-  util::parallel_for<Context>(
+  pool.threads = options.threads;
+  const std::size_t threads = util::parallel_for<Context>(
       options.trials, pool, make_context,
       [&](std::size_t begin, std::size_t end, Context& context) {
         metrics.chunks_claimed.add();
@@ -101,6 +99,7 @@ std::vector<Sample> run_trials(
           }
         }
       });
+  metrics.threads.set(static_cast<double>(threads));
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)

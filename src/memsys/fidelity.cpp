@@ -56,6 +56,12 @@ struct WordSampleOutcome {
   double energy_j = 0.0;   // summed over the word
 };
 
+struct MnaSampleOutcome {
+  bool terminated = true;  // every bit line's comparator fired
+  double slowest_s = 0.0;  // word latency = slowest bit line
+  double energy_j = 0.0;   // SL-driver source energy
+};
+
 }  // namespace
 
 WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples) const {
@@ -121,53 +127,63 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
 
 MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) const {
   MnaTierReport report;
-  for (const WordSample& sample : samples) {
-    const std::vector<std::size_t> levels = levels_for(sample.data);
-    // The whole word at once: cells_per_word columns on one selected row,
-    // each bit line terminated at its own level's IrefR — the paper's
-    // word-parallel MLC RST, not a single-cell proxy. The bordered-block
-    // solver (num::BlockSchurLu) is what makes 10x the sample count fit the
-    // wall-clock budget the old monolithic single-cell tier had.
-    array::BankWritePathConfig bank;
-    bank.cell = study_.nominal;
-    bank.columns = levels.size();
-    // Physically a bank is tiled into reference_rows-deep subarrays; the
-    // write path drives one subarray's column, not the whole logical bank.
-    bank.rows = std::min(geometry_.rows_per_bank, bank.reference_rows);
-    bank.bl_segments = 4;  // fidelity-appropriate lumping, keeps blocks small
-    bank.irefs.reserve(levels.size());
-    for (const std::size_t level : levels) {
-      bank.irefs.push_back(study_.qlc.allocation.levels[level].iref);
-    }
-    // Stretch the plateau past the deepest level's ~4 us termination so the
-    // comparators, not the horizon, end the pulse.
-    bank.pulse_width = 4.5e-6;
-    bank.t_stop = 4.8e-6;
-    // Once the last comparator fires the cells are cut off; the remaining
-    // plateau is pure wall-clock, and cutting it is what keeps 20 samples
-    // inside the replay budget.
-    bank.stop_after_terminated = 50e-9;
-    bank.hierarchical = true;
-    bank.threads = config_.threads;  // bit-identical per BlockSchurLu contract
-    const array::BankWritePathResult result = array::BankWritePath(bank).run();
-    ++report.samples;
-    bool word_terminated = true;
-    double slowest = 0.0;  // word latency = slowest bit line
-    for (const array::BankColumnResult& column : result.columns) {
-      if (column.terminated) {
-        slowest = std::max(slowest, column.t_terminate);
-      } else {
-        word_terminated = false;
+  if (samples.empty()) return report;
+  // One independent word transient per sample, index-addressed and reduced
+  // in sample order below, as in run_word_tier. Inside a pool worker the
+  // per-sample BlockSchurLu loops run inline (parallel_for's nesting rule).
+  std::vector<MnaSampleOutcome> outcomes(samples.size());
+  util::ParallelForOptions options;
+  options.threads = config_.threads;
+  options.chunk = 1;
+  util::parallel_for(samples.size(), options, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::vector<std::size_t> levels = levels_for(samples[i].data);
+      // The whole word at once: cells_per_word columns on one selected row,
+      // each bit line terminated at its own level's IrefR — the paper's
+      // word-parallel MLC RST, not a single-cell proxy. The bordered-block
+      // solver (num::BlockSchurLu) is what makes 10x the sample count fit the
+      // wall-clock budget the old monolithic single-cell tier had.
+      array::BankWritePathConfig bank;
+      bank.cell = study_.nominal;
+      bank.columns = levels.size();
+      // Physically a bank is tiled into reference_rows-deep subarrays; the
+      // write path drives one subarray's column, not the whole logical bank.
+      bank.rows = std::min(geometry_.rows_per_bank, bank.reference_rows);
+      bank.bl_segments = 4;  // fidelity-appropriate lumping, keeps blocks small
+      bank.irefs.reserve(levels.size());
+      for (const std::size_t level : levels) {
+        bank.irefs.push_back(study_.qlc.allocation.levels[level].iref);
       }
+      // Stretch the plateau past the deepest level's ~4 us termination so the
+      // comparators, not the horizon, end the pulse.
+      bank.pulse_width = 4.5e-6;
+      bank.t_stop = 4.8e-6;
+      // Once the last comparator fires the cells are cut off; the remaining
+      // plateau is pure wall-clock, and cutting it is what keeps 20 samples
+      // inside the replay budget.
+      bank.stop_after_terminated = 50e-9;
+      bank.hierarchical = true;
+      bank.threads = config_.threads;  // bit-identical per BlockSchurLu contract
+      const array::BankWritePathResult result = array::BankWritePath(bank).run();
+      MnaSampleOutcome& outcome = outcomes[i];
+      for (const array::BankColumnResult& column : result.columns) {
+        if (column.terminated) {
+          outcome.slowest_s = std::max(outcome.slowest_s, column.t_terminate);
+        } else {
+          outcome.terminated = false;
+        }
+      }
+      outcome.energy_j = result.energy_source;
     }
-    if (word_terminated) ++report.terminated;
-    report.mean_t_terminate_s += slowest;
-    report.mean_energy_j += result.energy_source;
+  });
+  for (const MnaSampleOutcome& outcome : outcomes) {
+    ++report.samples;
+    if (outcome.terminated) ++report.terminated;
+    report.mean_t_terminate_s += outcome.slowest_s;
+    report.mean_energy_j += outcome.energy_j;
   }
-  if (report.samples > 0) {
-    report.mean_t_terminate_s /= static_cast<double>(report.samples);
-    report.mean_energy_j /= static_cast<double>(report.samples);
-  }
+  report.mean_t_terminate_s /= static_cast<double>(report.samples);
+  report.mean_energy_j /= static_cast<double>(report.samples);
   return report;
 }
 

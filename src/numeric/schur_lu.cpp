@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string>
 
 #include "numeric/linear_error.hpp"
@@ -30,6 +31,18 @@ struct SchurMetrics {
     return metrics;
   }
 };
+
+// Grain floor for the three per-block loops, in units of the per-call work
+// estimate Σ_k n_k³ over the interior block sizes (dense factorization plus
+// the |J_k| column solves; about 1 ns per unit on a 4-core x86-64 VM, GCC
+// 12.2). Issuing a pool dispatch costs under a microsecond, but a woken
+// worker is not reliably on a CPU for up to ~1 ms: on that VM with the
+// process pinned to 2 CPUs, 8 items of 16-128 us each ran no faster at 2
+// threads than serially, and 8 items of 256 us ran 1.85x faster. Below
+// ~2 ms of estimated work per call the loops therefore run on the calling
+// thread; this covers every bank the memsys MNA tier and the 8x8-64x64
+// bench_hier_mna sweep build (Σ n³ = 1.1e4-1.0e6).
+constexpr double kParallelWorkFloor = 2e6;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -76,7 +89,12 @@ void BlockSchurLu::build_structure() {
       blk.globals.push_back(i);
     }
   }
-  for (Block& blk : blocks_) blk.a.resize(blk.globals.size());
+  double work = 0.0;
+  for (Block& blk : blocks_) {
+    blk.a.resize(blk.globals.size());
+    work += std::pow(static_cast<double>(blk.globals.size()), 3);
+  }
+  block_threads_ = work < kParallelWorkFloor ? 1 : options_.threads;
 
   schur_ = DenseMatrix(border_.size(), border_.size());
   border_rhs_.assign(border_.size(), 0.0);
@@ -178,12 +196,12 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
   // Parallel per-block phase: each block writes only its own state.
   const std::int64_t wall0 = now_ns();
   util::ParallelForOptions popt;
-  popt.threads = options_.threads;
+  popt.threads = block_threads_;
   popt.chunk = 1;
-  util::parallel_for(blocks_.size(), popt,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) factor_block(k);
-                     });
+  const std::size_t workers =
+      util::parallel_for(blocks_.size(), popt, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) factor_block(k);
+      });
   const std::int64_t wall_ns = now_ns() - wall0;
 
   // Sequential cross-block phase, ascending block order: S = D - Σ C_k Z_k.
@@ -228,9 +246,7 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
   if (fallbacks > 0) metrics.block_fallbacks.add(fallbacks);
   metrics.border_size.set(static_cast<double>(border_.size()));
   metrics.blocks.set(static_cast<double>(blocks_.size()));
-  const std::size_t workers =
-      util::resolve_threads(options_.threads, blocks_.size());
-  if (wall_ns > 0 && workers > 0) {
+  if (wall_ns > 0) {
     metrics.parallel_efficiency.set(
         static_cast<double>(block_ns) /
         (static_cast<double>(wall_ns) * static_cast<double>(workers)));
@@ -244,7 +260,7 @@ void BlockSchurLu::solve(std::span<const double> b, std::span<double> x) {
   SchurMetrics& metrics = SchurMetrics::get();
 
   util::ParallelForOptions popt;
-  popt.threads = options_.threads;
+  popt.threads = block_threads_;
   popt.chunk = 1;
 
   // Interior forward solves g_k = A_k⁻¹ b_k (parallel, per-block storage).

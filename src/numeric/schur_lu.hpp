@@ -57,7 +57,9 @@ struct BlockPartition {
 };
 
 struct SchurOptions {
-  // Workers for the per-block factor/solve loops (0 = hardware concurrency).
+  // Workers for the per-block factor/solve loops (0 = CPUs available). A
+  // partition whose estimated per-call block work is below a grain floor
+  // (schur_lu.cpp) runs the loops on the calling thread whatever this says.
   // Results are bit-identical regardless; see the determinism contract above.
   std::size_t threads = 1;
   // Pivot tolerance for the dense border factorization.
@@ -72,6 +74,9 @@ class BlockSchurLu {
   std::size_t size() const { return partition_.block_of.size(); }
   std::size_t border_size() const { return border_.size(); }
   std::size_t block_count() const { return blocks_.size(); }
+  // Workers the per-block loops ask for: options.threads, or 1 when the
+  // partition is below the grain floor.
+  std::size_t block_threads() const { return block_threads_; }
 
   // Splits the triplets into per-block A_k/B_k/C_k plus the border D,
   // factors every block (pattern-cached: numeric-only refactorize on
@@ -113,6 +118,7 @@ class BlockSchurLu {
 
   BlockPartition partition_;
   SchurOptions options_;
+  std::size_t block_threads_ = 1;  // options_.threads, or 1 below the grain floor
 
   std::vector<std::size_t> border_;  // global unknowns of border slots, ascending
   std::vector<std::size_t> local_;   // global -> block-local or border-local index

@@ -45,7 +45,7 @@ struct BatchRunOptions {
   // kAuto resolves via num::simd::active_backend() (OXMLC_SIMD env /
   // override); kReference forces the scalar step_lane path.
   num::simd::Backend engine = num::simd::Backend::kAuto;
-  // Lane shards claimed through util::parallel_for; 0 = hardware_concurrency.
+  // Lane shards claimed through util::parallel_for; 0 = CPUs available.
   std::size_t threads = 1;
 };
 

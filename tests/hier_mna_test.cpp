@@ -150,6 +150,31 @@ TEST(BlockSchurLu, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The grain floor: a small partition runs its block loops on the calling
+// thread whatever SchurOptions::threads asks for; one above the floor uses
+// the pool, and the result stays bit-identical to the serial one.
+TEST(BlockSchurLu, GrainFloorPicksSerialOrPoolAndStaysBitIdentical) {
+  const BbdSystem small = make_bbd(8, 13, 12, 0x5EED);
+  SchurOptions wide;
+  wide.threads = 4;
+  EXPECT_EQ(BlockSchurLu(small.partition, wide).block_threads(), 1u);
+
+  const BbdSystem large = make_bbd(8, 70, 12, 0xF100);
+  const std::size_t n = large.a.size();
+  std::vector<std::vector<double>> results;
+  for (std::size_t threads : {1u, 4u}) {
+    SchurOptions opt;
+    opt.threads = threads;
+    BlockSchurLu hier(large.partition, opt);
+    EXPECT_EQ(hier.block_threads(), threads);
+    hier.factorize_cached(large.a);
+    std::vector<double> x(n);
+    hier.solve(large.rhs, x);
+    results.push_back(std::move(x));
+  }
+  EXPECT_EQ(0, std::memcmp(results[0].data(), results[1].data(), n * sizeof(double)));
+}
+
 TEST(BlockSchurLu, DegenerateSingleBlockEmptyBorder) {
   // Everything in one interior block: no border, pure block solve.
   BbdSystem sys = make_bbd(1, 24, 0, 0x11);

@@ -688,6 +688,29 @@ TEST(Replay, ReportIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The MNA tier runs its samples in parallel; with three samples the
+// sample-level schedule differs at every thread count, and the report must
+// not.
+TEST(Replay, MnaTierBitIdenticalAcrossThreadCounts) {
+  const auto trace = small_trace(small_replay_options().geometry);
+  std::string reference;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ReplayOptions options = small_replay_options();
+    options.fidelity.mna_sample_period = 50;
+    options.fidelity.mna_max_samples = 3;
+    options.threads = threads;
+    options.fidelity.threads = threads;
+    const MemsysReport report = replay_trace(trace, options);
+    EXPECT_EQ(report.mna_tier.samples, 3u) << "threads=" << threads;
+    const std::string dump = to_json(report).dump();
+    if (reference.empty()) {
+      reference = dump;
+    } else {
+      EXPECT_EQ(dump, reference) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(Replay, FidelityTiersCanBeDisabled) {
   ReplayOptions options = small_replay_options();
   options.fidelity.word_tier = false;

@@ -3,7 +3,10 @@
 // Two layers of pinning:
 //   1. The pool itself: full index coverage for awkward (n, threads, chunk)
 //     combinations, per-worker context reuse, first-exception propagation,
-//     n = 0 as a no-op.
+//     n = 0 as a no-op, and the persistent pool's rules: nested and
+//     pool-busy calls run inline, back-to-back calls reuse the same workers,
+//     the pool survives a throwing body, and the auto thread count follows
+//     the CPU affinity mask.
 //   2. The bit-identity contract at every migrated call site: mc::run_trials,
 //      run_retention_study, and CellBatch lane sharding must return
 //      byte-for-byte identical results at 1, 2 and 8 threads — the property
@@ -11,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "mc/runner.hpp"
@@ -25,6 +30,10 @@
 #include "oxram/fast_cell.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace oxmlc {
 namespace {
@@ -136,8 +145,9 @@ TEST(ParallelFor, ContextFactoryExceptionPropagates) {
 TEST(ParallelFor, ReentrantNestedLoopsCoverBothIndexSpaces) {
   // Outer "scheduler ticks" over 16 words; each tick fans a nested
   // parallel_for over the word's 8 "bit lines". Every (word, lane) pair must
-  // execute exactly once regardless of either pool's thread count — the inner
-  // pool spawns its own workers and must not interfere with the outer claims.
+  // execute exactly once regardless of either call's thread count — the inner
+  // call runs inline on the claiming thread and must not interfere with the
+  // outer claims.
   constexpr std::size_t kWords = 16;
   constexpr std::size_t kLanes = 8;
   for (std::size_t outer_threads : {std::size_t{1}, std::size_t{4}}) {
@@ -226,6 +236,162 @@ TEST(ParallelFor, ExceptionInNestedInnerLoopPropagatesThroughOuterPool) {
     EXPECT_LT(outer_ticks.load(), 1000) << "outer=" << outer_threads;
   }
 }
+
+// ---------------------------------------------------------------------------
+// The persistent pool: caller participation, the inline rules, reuse
+// ---------------------------------------------------------------------------
+
+// Blocks each of the first `parties` chunk bodies until all of them have
+// started (or a generous timeout passes), so a 2-chunk call at 2 threads is
+// forced onto two distinct threads.
+class StartBarrier {
+ public:
+  explicit StartBarrier(int parties) : parties_(parties) {}
+  void arrive_and_wait() {
+    arrived_.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived_.load() < parties_ && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const int parties_;
+  std::atomic<int> arrived_{0};
+};
+
+TEST(ParallelForPool, NestedCallsRunOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  StartBarrier barrier(2);
+  std::mutex mutex;
+  std::vector<std::thread::id> outer_ids;
+  std::vector<std::size_t> inner_ran;
+  bool inner_on_outer_thread = true;
+
+  util::ParallelForOptions outer;
+  outer.threads = 2;
+  outer.chunk = 1;
+  const std::size_t outer_ran = util::parallel_for(2, outer, [&](std::size_t, std::size_t) {
+    barrier.arrive_and_wait();
+    const std::thread::id self = std::this_thread::get_id();
+    util::ParallelForOptions inner;
+    inner.threads = 4;
+    inner.chunk = 1;
+    std::vector<std::thread::id> seen;
+    std::mutex seen_mutex;
+    const std::size_t ran = util::parallel_for(16, inner, [&](std::size_t, std::size_t) {
+      const std::lock_guard<std::mutex> lock(seen_mutex);
+      seen.push_back(std::this_thread::get_id());
+    });
+    const std::lock_guard<std::mutex> lock(mutex);
+    outer_ids.push_back(self);
+    inner_ran.push_back(ran);
+    for (const std::thread::id id : seen) inner_on_outer_thread &= (id == self);
+  });
+
+  EXPECT_EQ(outer_ran, 2u);
+  ASSERT_EQ(outer_ids.size(), 2u);
+  EXPECT_NE(outer_ids[0], outer_ids[1]);
+  // One chunk ran on the participating caller, the other on a pool worker;
+  // both nested calls stayed on their own thread and report one thread.
+  EXPECT_TRUE(outer_ids[0] == caller || outer_ids[1] == caller);
+  EXPECT_TRUE(inner_on_outer_thread);
+  EXPECT_EQ(inner_ran, (std::vector<std::size_t>{1, 1}));
+}
+
+TEST(ParallelForPool, ReturnsTheThreadsThatRan) {
+  util::ParallelForOptions options;
+  options.threads = 1;
+  EXPECT_EQ(util::parallel_for(100, options, [](std::size_t, std::size_t) {}), 1u);
+  options.threads = 4;
+  EXPECT_EQ(util::parallel_for(0, options, [](std::size_t, std::size_t) {}), 0u);
+  const std::size_t ran = util::parallel_for(100, options, [](std::size_t, std::size_t) {});
+  EXPECT_GE(ran, 1u);
+  EXPECT_LE(ran, 4u);
+}
+
+TEST(ParallelForPool, BackToBackCallsReuseTheSameWorkers) {
+  util::ParallelForOptions options;
+  options.threads = 2;
+  options.chunk = 1;
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  for (int call = 0; call < 10'000; ++call) {
+    util::parallel_for(2, options, [&](std::size_t, std::size_t) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+    });
+  }
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(ParallelForPool, NextCallCoversEveryIndexAfterAThrow) {
+  util::ParallelForOptions options;
+  options.threads = 4;
+  options.chunk = 1;
+  EXPECT_THROW(util::parallel_for(1000, options,
+                                  [](std::size_t begin, std::size_t) {
+                                    if (begin % 7 == 3) throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> visits(1000);
+  for (auto& v : visits) v.store(0);
+  util::parallel_for(visits.size(), options, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < visits.size(); ++i) ASSERT_EQ(visits[i].load(), 1) << i;
+}
+
+TEST(ParallelForPool, ConcurrentExternalCallersBothComplete) {
+  // Whichever caller finds the pool busy runs inline; both must still cover
+  // their whole index space exactly once.
+  constexpr std::size_t kN = 2000;
+  constexpr int kRounds = 50;
+  const auto caller = [](std::size_t threads, bool& ok) {
+    util::ParallelForOptions options;
+    options.threads = threads;
+    options.chunk = 3;
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::atomic<int>> visits(kN);
+      for (auto& v : visits) v.store(0);
+      util::parallel_for(kN, options, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+      });
+      for (const auto& v : visits) ok &= (v.load() == 1);
+    }
+  };
+  bool ok_a = true;
+  bool ok_b = true;
+  std::thread a(caller, std::size_t{2}, std::ref(ok_a));
+  std::thread b(caller, std::size_t{3}, std::ref(ok_b));
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+}
+
+#if defined(__linux__)
+TEST(ParallelForPool, AutoThreadCountFollowsCpuAffinity) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  const auto allowed = static_cast<std::size_t>(CPU_COUNT(&original));
+  EXPECT_EQ(util::resolve_threads(0, 100'000), allowed);
+
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  CPU_SET(first, &pinned);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(pinned), &pinned), 0);
+  const std::size_t while_pinned = util::resolve_threads(0, 100'000);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+
+  EXPECT_EQ(while_pinned, 1u);
+  EXPECT_EQ(util::resolve_threads(0, 100'000), allowed);
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Call-site bit-identity at 1 / 2 / 8 threads
