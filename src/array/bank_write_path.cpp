@@ -53,6 +53,10 @@ LineParasitics scale_line(const LineParasitics& full, std::size_t cells,
 BankWritePath::BankWritePath(const BankWritePathConfig& config)
     : config_(config) {
   OXMLC_CHECK(config.columns > 0, "BankWritePath: need at least one column");
+  OXMLC_CHECK(config.irefs.size() <= config.columns,
+              "BankWritePath: more irefs than columns");
+  OXMLC_CHECK(config.initial_gaps.size() <= config.columns,
+              "BankWritePath: more initial_gaps than columns");
   auto& c = circuit_;
   std::vector<int> border;
 
@@ -112,7 +116,7 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
                        config.access);
 
     const double gap = j < config.initial_gaps.size() ? config.initial_gaps[j]
-                                                      : config.initial_gap;
+                                                      : config.cell.g_min;
     const int bl_cell = c.node("blc" + col);
     node_bl_cell_.push_back(bl_cell);
     cells_.push_back(
@@ -136,9 +140,18 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
     csel_pulses_.push_back(csel_pulse);
     c.add<dev::VoltageSource>("Vcsel" + col, csel, spice::kGround, csel_pulse);
 
-    const double iref = j < config.irefs.size()
-                            ? config.irefs[j]
-                            : config.iref.value_or(0.0);
+    // Program inhibit: once csel falls, tie the cut-off bit line to its SL
+    // tap so the cell holds its level through the SL fall (see header).
+    dev::VSwitch::Params clamp;
+    clamp.threshold = 0.5 * config.v_csel;
+    clamp.transition = 0.1;
+    clamp.r_on = 500.0;
+    clamp.r_off = 1e9;
+    clamp.active_low = true;
+    c.add<dev::VSwitch>("Sinhibit" + col, bl_far, sl_taps[j], csel,
+                        spice::kGround, clamp);
+
+    const double iref = j < config.irefs.size() ? config.irefs[j] : 0.0;
     if (iref > 0.0) {
       terminations_.push_back(build_termination_circuit(
           c, "term" + col, bl_mux, vdd, iref, config.termination));

@@ -11,9 +11,9 @@
 //                          │                │            BL ladder, column-
 //                        cell_0           cell_1         select NMOS, Fig. 7a
 //                          │                │            termination, csel
-//                       BL ladder        BL ladder       gate driver
-//                          │                │
-//                       [Msel_0]         [Msel_1]
+//                       BL ladder        BL ladder       gate driver, and the
+//                          │                │            Sinhibit clamp (far
+//                       [Msel_0]         [Msel_1]        BL end to its SL tap)
 //                          │                │
 //                       term_0           term_1
 //
@@ -29,7 +29,15 @@
 // When a column's comparator fires, the control logic drops that column's
 // select gate (StoppablePulse on csel_j) after the logic delay, cutting the
 // cell current without disturbing the shared SL pulse — per-BL termination as
-// in §3.2 of the paper, generalized to word-parallel operation.
+// in §3.2 of the paper, generalized to word-parallel operation ("one RST
+// write termination is associated with a single bit-line", §4.2).
+//
+// The same falling csel_j closes that column's program-inhibit clamp
+// (Sinhibit_j, active low, far BL end to SL tap j). A cut-off bit line must
+// neither float — its ~1 pF of stored charge would SET the cell back when the
+// shared SL falls — nor be grounded, which is the standard-RST bias and would
+// keep RESETTING the cell. Tied to the SL, the cell voltage collapses to ~0
+// and tracks the SL through its fall, as in NAND program inhibit.
 #pragma once
 
 #include <memory>
@@ -48,9 +56,9 @@ struct BankWritePathConfig {
   oxram::OxramParams cell;
   std::size_t columns = 32;
   std::size_t rows = 32;  // scales per-column BL parasitics below
-  // Per-column initial gaps; padded with `initial_gap` when shorter.
+  // Per-column initial gaps, at most `columns` long; padded with cell.g_min
+  // (LRS) when shorter.
   std::vector<double> initial_gaps;
-  double initial_gap = 0.25e-9;  // default: LRS
 
   dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
   dev::MosfetParams column_select = dev::tech130hv::nmos(1.6e-6, 0.5e-6);
@@ -74,10 +82,9 @@ struct BankWritePathConfig {
   double pulse_width = 3.5e-6;
   double pulse_fall = 10e-9;
 
-  std::optional<double> iref;  // per-BL termination reference; nullopt = none
-  // Per-column reference currents (MLC: each bit line terminates at its own
-  // level's IrefR); entries beyond the vector fall back to `iref`, and a
-  // non-positive entry disables that column's termination.
+  // Per-column reference currents, at most `columns` long (MLC: each bit
+  // line terminates at its own level's IrefR). A column past the end of the
+  // vector, or with a non-positive entry, has no comparator.
   std::vector<double> irefs;
   double logic_delay = 10e-9;
   double t_stop = 4.0e-6;
@@ -118,7 +125,7 @@ class BankWritePath {
   explicit BankWritePath(const BankWritePathConfig& config);
 
   // Runs the word-parallel RESET (terminated per column when that column has
-  // a reference current via config.irefs / config.iref).
+  // a reference current in config.irefs).
   BankWritePathResult run();
 
   spice::Circuit& circuit() { return circuit_; }

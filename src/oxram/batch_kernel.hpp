@@ -13,8 +13,8 @@
 //     compact: lanes whose pulse completed retire and stop being visited
 //
 // Per-lane termination masking is the SoA analogue of the per-bit-line stop
-// in array/word_path.hpp: a lane whose cell current reaches its IrefR enters
-// its commanded ramp-down and retires, while neighbouring lanes keep
+// in array/bank_write_path.hpp: a lane whose cell current reaches its IrefR
+// enters its commanded ramp-down and retires, while neighbouring lanes keep
 // programming to their own (deeper) references.
 //
 // Every lane follows one control flow — trapezoidal waveform, linear

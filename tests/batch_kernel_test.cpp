@@ -224,7 +224,7 @@ TEST(CellBatch, FormingEquivalenceAgainstScalar) {
 
 // Lanes with shallower references (higher IrefR) terminate first and must
 // retire without disturbing the lanes still programming — the SoA analogue of
-// the per-bit-line stop in word_path.hpp.
+// the per-bit-line stop in bank_write_path.hpp.
 TEST(CellBatch, StaggeredTerminationMasking) {
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
   // Identical nominal devices: any latency stagger then comes from the

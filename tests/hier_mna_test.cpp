@@ -241,7 +241,7 @@ oxmlc::array::BankWritePathConfig bank_config(std::size_t columns,
   oxmlc::array::BankWritePathConfig cfg;
   cfg.columns = columns;
   cfg.rows = rows;
-  cfg.iref = 20e-6;
+  cfg.irefs.assign(columns, 20e-6);
   cfg.pulse_width = 3.5e-6;
   cfg.t_stop = 3.0e-6;
   return cfg;
