@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const std::size_t trials = bench::trials_from_args(argc, argv, 24);
   std::cout << "\nretention sweep (4 bits/cell, " << trials << " trials/level):\n";
   mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(4, trials);
-  config.verify_max_passes = 3;
+  config.verify.max_passes = 3;
   const mlc::RetentionComparison comparison = mlc::run_retention_comparison(config);
   const mlc::RetentionReport& off = comparison.verify_off;
   const mlc::RetentionReport& on = comparison.verify_on;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
             << " trials/level, decade ladder 1 ms .. 10^7 s\n\n";
 
   mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(bits, trials);
-  config.verify_max_passes = 3;
+  config.verify.max_passes = 3;
   const mlc::RetentionComparison comparison = mlc::run_retention_comparison(config);
   const mlc::RetentionReport& off = comparison.verify_off;
   const mlc::RetentionReport& on = comparison.verify_on;
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nverify: " << on.verify_reprogrammed << " cells re-terminated, "
             << on.verify_unrecovered << " still out of band after "
-            << on.verify_max_passes << " passes\n";
+            << on.verify.max_passes << " passes\n";
   // Quote the recovery where the fast relaxation dominates (about 1 s): the
   // slow retention component is a per-cell activation no verify can filter,
   // so the late decades converge toward the unverified branch again.

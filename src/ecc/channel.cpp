@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "oxram/model.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::ecc {
@@ -20,68 +19,6 @@ double effective_cycles(const WearLevelingModel& model,
   const double spread = std::min(1.0, model.lifetime_writes / revolution);
   return hot + spread * (uniform - hot);
 }
-
-namespace {
-
-// One sense's worth of read-disturb stress applied to `gap` — the same
-// bias-minus-rest excess ReliabilityEngine::on_read bills (and retention.cpp
-// mirrors): SET-polarity drift at the read bias, minus what the zero-bias
-// trajectory would have done in the same stress window.
-double disturbed_gap(const oxram::FastCell& cell, double gap, const mlc::QlcConfig& qlc,
-                     const reliability::ReadDisturbModel& disturb) {
-  if (!disturb.enabled) {
-    return gap;
-  }
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
-                         qlc.v_read, qlc.v_wl_read);
-  const double stress = disturb.t_read * disturb.accel;
-  const double g_bias =
-      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
-  const double g_rest =
-      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
-  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
-}
-
-// Per-cell drift trajectory state, tracked exactly like a retention trial:
-// anchor gap at the last program event plus event amplitudes, with the
-// accumulated read-disturb shift carried as an additive offset.
-struct CellState {
-  oxram::FastCell cell;
-  Rng rng;
-  double anchor = 0.0;
-  double relax_amp = 0.0;
-  double drift_amp = 0.0;
-  double t_anchor = 0.0;
-  double offset = 0.0;
-
-  double gap_at(const oxram::DriftParams& drift, double t_abs) const {
-    const double g = oxram::drifted_gap(drift, anchor, cell.params().g_min, relax_amp,
-                                        drift_amp, std::max(t_abs - t_anchor, 0.0));
-    return std::clamp(g + offset, cell.params().g_min, cell.params().g_max);
-  }
-
-  void reprogrammed(const oxram::DriftParams& drift, double t_abs) {
-    anchor = cell.gap();
-    t_anchor = t_abs;
-    offset = 0.0;
-    relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-  }
-};
-
-// Advances to time `t`, bills one sense of disturb, and decodes. Leaves the
-// cell's gap at the post-sense state.
-std::size_t sense_at(CellState& state, const ChannelConfig& config,
-                     const mlc::QlcProgrammer& programmer, double t) {
-  double g = state.gap_at(config.drift, t);
-  const double g_disturbed =
-      disturbed_gap(state.cell, g, config.study.qlc, config.read_disturb);
-  state.offset += g_disturbed - g;
-  state.cell.set_gap(g_disturbed);
-  return programmer.read_level(state.cell, state.rng);
-}
-
-}  // namespace
 
 WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng) {
@@ -108,66 +45,31 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   const auto cycles = static_cast<std::uint64_t>(
       std::llround(effective_cycles(config.wear, config.policy.rotate_every_writes)));
 
-  std::vector<CellState> states;
-  states.reserve(cells);
+  std::vector<reliability::CellTrajectory> word;
+  word.reserve(cells);
   for (std::size_t i = 0; i < cells; ++i) {
     Rng cell_rng = rng.split();
     const oxram::OxramParams fresh =
         oxram::sample_device(config.study.nominal, config.study.variability, cell_rng);
     const oxram::OxramParams device = reliability::worn_params(fresh, config.endurance, cycles);
-    states.push_back({oxram::FastCell::formed_lrs(device, config.study.stack),
-                      std::move(cell_rng), 0.0, 0.0, 0.0, 0.0, 0.0});
+    word.push_back({oxram::FastCell::formed_lrs(device, config.study.stack), std::move(cell_rng)});
   }
 
-  // Whole-word program through the batched terminated-RESET path (the same
-  // outcomes as N per-cell program() calls, per the program_word contract).
-  {
-    std::vector<oxram::FastCell*> cell_ptrs(cells);
-    std::vector<Rng*> rng_ptrs(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      cell_ptrs[i] = &states[i].cell;
-      rng_ptrs[i] = &states[i].rng;
-    }
-    programmer.program_word(cell_ptrs, trial.target, rng_ptrs);
-  }
-  for (CellState& state : states) {
-    state.anchor = state.cell.gap();
-    state.relax_amp = oxram::sample_relaxation_amplitude(config.drift, state.rng);
-    state.drift_amp = oxram::sample_drift_amplitude(config.drift, state.rng);
-  }
-
-  // Relaxation-aware verify: re-sense after tau_relax and re-terminate cells
-  // whose tail relaxation event slipped them out of band.
+  // Program, verify and scrub passes each run as one batched program_word.
+  const mlc::VerifyScrubStepper stepper{programmer, config.drift, config.read_disturb};
+  stepper.program(word, trial.target);
   if (config.policy.relax_verify) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      CellState& state = states[i];
-      double t_now = 0.0;
-      for (std::size_t pass = 0; pass < config.verify_max_passes; ++pass) {
-        t_now += config.tau_relax;
-        if (sense_at(state, config, programmer, t_now) == trial.target[i]) break;
-        if (pass + 1 == config.verify_max_passes) break;  // out of budget
-        programmer.program(state.cell, trial.target[i], state.rng);
-        ++trial.verify_reprograms;
-        state.reprogrammed(config.drift, t_now);
-      }
+    for (const mlc::VerifyOutcome& outcome : stepper.verify(word, trial.target, config.verify)) {
+      trial.verify_reprograms += outcome.reprograms;
     }
   }
-
-  // Scrub timeline: periodic read + compare + re-program of slipped cells.
   for (std::size_t event = 1; event <= scrub_events; ++event) {
     const double t = static_cast<double>(event) * config.policy.scrub_period_s;
-    for (std::size_t i = 0; i < cells; ++i) {
-      CellState& state = states[i];
-      if (sense_at(state, config, programmer, t) == trial.target[i]) continue;
-      programmer.program(state.cell, trial.target[i], state.rng);
-      ++trial.scrub_reprograms;
-      state.reprogrammed(config.drift, t);
-    }
+    trial.scrub_reprograms += static_cast<std::uint32_t>(stepper.scrub(word, trial.target, t));
   }
 
-  trial.observed.resize(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    trial.observed[i] = sense_at(states[i], config, programmer, config.horizon_s);
+  for (reliability::CellTrajectory& cell : word) {
+    trial.observed.push_back(stepper.sense(cell, config.horizon_s));
   }
   return trial;
 }

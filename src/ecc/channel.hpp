@@ -2,13 +2,13 @@
 //
 // The codes in this module are only as honest as the channel feeding them,
 // so there is deliberately NO iid-bitflip shortcut here. One trial simulates
-// one stored word cell by cell through the same physics the retention study
-// and `ReliabilityEngine` run: device sampled from the D2D distributions
-// (window pre-compressed by endurance wear at the cycle count the
-// wear-leveling policy implies), programmed through the terminated-RESET
-// programmer, evolved along the two-component log-time drift law with
-// read-disturb stress billed per sense, optionally re-terminated by the
-// relaxation-aware verify, scrubbed on the policy's period, and finally read
+// one stored word through the same physics the retention study and
+// `ReliabilityEngine` run: D2D-sampled cells (window pre-compressed by
+// endurance wear at the cycle count the wear-leveling policy implies) run as
+// reliability::CellTrajectory values through mlc::VerifyScrubStepper —
+// programmed in one terminated-RESET program_word, evolved along the
+// two-component log-time drift law with read-disturb stress billed per sense,
+// optionally verified, scrubbed on the policy's period, and finally read
 // back through the real reference ladder at the horizon. Level errors fall
 // out as (target, observed) pairs; `error_bits` maps them through the Gray
 // code to the bit-error stream the code catalog consumes.
@@ -26,6 +26,7 @@
 #include "ecc/gray.hpp"
 #include "mlc/mc_study.hpp"
 #include "mlc/program.hpp"
+#include "mlc/verify_scrub.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
 #include "util/rng.hpp"
@@ -67,8 +68,7 @@ struct ChannelConfig {
   WearLevelingModel wear;
   ChannelPolicy policy;
   double horizon_s = 1e7;      // read-back time after program
-  double tau_relax = 1e-3;     // s between program and each verify re-sense
-  std::size_t verify_max_passes = 2;
+  mlc::VerifyTiming verify;    // used when policy.relax_verify is on
   std::size_t max_scrub_events = 128;  // guard: horizon / period must fit
 };
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <string>
 
-#include "mlc/controller.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
 #include "util/error.hpp"
@@ -117,10 +116,7 @@ MlcLintInput MlcLintInput::paper_default(std::size_t bits) {
   for (const Level& level : allocation.levels) {
     input.levels.push_back({level.value, level.iref, level.r_nominal});
   }
-  const VerifyPolicy policy;  // the controller's relaxation-aware defaults
-  input.verify_enabled = true;
-  input.tau_relax = policy.tau_relax;
-  input.verify_max_passes = policy.max_passes;
+  input.verify_enabled = true;  // at the default VerifyTiming
   return input;
 }
 
@@ -227,9 +223,9 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
         if (key == "enabled") input.verify_enabled = parse_si(value, line_no) != 0.0;
-        else if (key == "tau_relax") input.tau_relax = parse_si(value, line_no);
+        else if (key == "tau_relax") input.verify.tau_relax = parse_si(value, line_no);
         else if (key == "max_passes") {
-          input.verify_max_passes = static_cast<std::size_t>(parse_si(value, line_no));
+          input.verify.max_passes = static_cast<std::size_t>(parse_si(value, line_no));
         } else {
           unknown_key(".verify", key, line_no);
         }
@@ -340,9 +336,9 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
   // An effective verify (enabled, at least one pass, re-sense after the fast
   // component expressed) re-terminates the relaxation tail, so the static
   // widening is dropped; anything less leaves the full quantile in play.
-  const double phi_fast = oxram::drift_phi(input.tau_relax, input.drift.tau_fast,
+  const double phi_fast = oxram::drift_phi(input.verify.tau_relax, input.drift.tau_fast,
                                            input.drift.nu_fast);
-  const bool verify_effective = input.verify_enabled && input.verify_max_passes >= 1 &&
+  const bool verify_effective = input.verify_enabled && input.verify.max_passes >= 1 &&
                                 input.drift.enabled && phi_fast >= kFastExpressedFraction;
 
   // OXC003: adjacent bands, low edges relaxation-widened unless verified.
@@ -376,19 +372,19 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
     if (phi_fast < kFastExpressedFraction) {
       report.add(make_diagnostic(
           Severity::kWarning, codes::kVerifyUnderHorizon, "",
-          "verify waits " + std::to_string(input.tau_relax) + " s but the fast relaxation "
+          "verify waits " + std::to_string(input.verify.tau_relax) + " s but the fast relaxation "
               "has only expressed " + std::to_string(phi_fast * 100.0) + " % by then (needs >= " +
               std::to_string(kFastExpressedFraction * 100.0) + " %)",
           "raise .verify tau_relax= above the relaxation horizon (~" +
               std::to_string(relaxation_horizon(input.drift)) + " s)"));
     }
     const double accel = oxram::drift_acceleration(input.drift);
-    const double phi_slow = oxram::drift_phi(input.tau_relax * accel, input.drift.tau_slow,
+    const double phi_slow = oxram::drift_phi(input.verify.tau_relax * accel, input.drift.tau_slow,
                                              input.drift.nu_slow);
     if (phi_slow > kSlowContaminationFraction) {
       report.add(make_diagnostic(
           Severity::kWarning, codes::kVerifyOverHorizon, "",
-          "verify waits " + std::to_string(input.tau_relax) + " s, by which the slow "
+          "verify waits " + std::to_string(input.verify.tau_relax) + " s, by which the slow "
               "retention component has already expressed " +
               std::to_string(phi_slow * 100.0) + " % — the re-sense measures retention "
               "drift, not relaxation",

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "mlc/verify_scrub.hpp"
 #include "oxram/drift.hpp"
 #include "spice/analyze/diagnostic.hpp"
 
@@ -87,8 +88,7 @@ struct MlcLintInput {
 
   // Relaxation-aware verify policy (mirrors mlc::VerifyPolicy).
   bool verify_enabled = false;
-  double tau_relax = 1e-3;
-  std::size_t verify_max_passes = 2;
+  VerifyTiming verify;
 
   // Codes listed by `.nolint` directives in the source file.
   std::vector<std::string> suppressed;

@@ -28,6 +28,8 @@
 //    written levels at any later time and re-programs the cells that slow
 //    retention drift has carried across a decode threshold — the refresh
 //    loop of a managed-reliability controller.
+// Neither runs on VerifyScrubStepper: the cells live on the engine's array
+// clock (advance(), which feeds the memsys witness), and the budget differs.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,7 @@
 
 #include "array/fast_array.hpp"
 #include "mlc/program.hpp"
+#include "mlc/verify_scrub.hpp"
 #include "reliability/engine.hpp"
 
 namespace oxmlc::mlc {
@@ -49,13 +52,10 @@ struct WordWriteStats {
 
 // Relaxation-aware program-verify policy (active only with an attached
 // ReliabilityEngine). Energy/latency of the extra passes are charged to the
-// write's WordWriteStats.
-struct VerifyPolicy {
+// write's WordWriteStats. Budget rule: every failed re-sense, the last one
+// included, re-terminates the slipped cells (see VerifyTiming).
+struct VerifyPolicy : VerifyTiming {
   bool enabled = false;
-  double tau_relax = 1e-3;     // s; wait before each re-sense (fast component
-                               // is >99 % expressed at 1 ms with the default
-                               // tau_fast = 1 us, nu_fast = 0.8)
-  std::size_t max_passes = 2;  // re-sense rounds per write
 };
 
 struct ScrubStats {

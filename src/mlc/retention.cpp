@@ -1,10 +1,8 @@
 #include "mlc/retention.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/registry.hpp"
-#include "oxram/model.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
 #include "util/provenance.hpp"
@@ -23,101 +21,11 @@ struct RetentionMetrics {
   }
 };
 
-// One trial's state trajectory, tracked exactly like ReliabilityEngine does
-// for an array cell: anchor gap + event amplitudes + accumulated disturb
-// offset, evaluated lazily at each observation time.
 struct TrialSample {
-  double r_initial = 0.0;
-  double energy = 0.0;
-  double latency = 0.0;
+  ProgramOutcome programmed;
+  VerifyOutcome verified;
   std::vector<double> r_at_time;
-  std::uint32_t reprogrammed = 0;
-  bool unrecovered = false;
 };
-
-double read_resistance(oxram::FastCell& cell, double gap, const QlcConfig& qlc) {
-  cell.set_gap(gap);
-  return cell.read(qlc.v_read, qlc.v_wl_read).r_cell;
-}
-
-// One sense's worth of read-disturb stress applied to `gap` (SET polarity at
-// the read bias — the same physics step ReliabilityEngine::on_read takes:
-// only the excess over the zero-bias trajectory is billed to the read).
-double disturbed_gap(const oxram::FastCell& cell, double gap, const QlcConfig& qlc,
-                     const reliability::ReadDisturbModel& disturb) {
-  if (!disturb.enabled) {
-    return gap;
-  }
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
-                         qlc.v_read, qlc.v_wl_read);
-  const double stress = disturb.t_read * disturb.accel;
-  const double g_bias =
-      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
-  const double g_rest =
-      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
-  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
-}
-
-TrialSample run_trial(const RetentionConfig& config, const QlcProgrammer& programmer,
-                      std::size_t level, Rng& rng) {
-  const oxram::OxramParams device =
-      oxram::sample_device(config.study.nominal, config.study.variability, rng);
-  oxram::FastCell cell = oxram::FastCell::formed_lrs(device, config.study.stack);
-  const ProgramOutcome outcome = programmer.program(cell, level, rng);
-
-  TrialSample sample;
-  sample.r_initial = outcome.resistance;
-  sample.energy = outcome.energy;
-  sample.latency = outcome.latency;
-
-  const oxram::DriftParams& drift = config.drift;
-  double anchor = cell.gap();
-  const double g_min = device.g_min;
-  double relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-  const double drift_amp = oxram::sample_drift_amplitude(drift, rng);
-  double t_anchor = 0.0;  // absolute time of the last program event
-  double t_now = 0.0;
-  double offset = 0.0;    // accumulated read-disturb gap shift
-
-  const auto gap_at = [&](double t_abs) {
-    const double g = oxram::drifted_gap(drift, anchor, g_min, relax_amp, drift_amp,
-                                        std::max(t_abs - t_anchor, 0.0));
-    return std::clamp(g + offset, g_min, device.g_max);
-  };
-
-  if (config.relax_verify) {
-    for (std::size_t pass = 0; pass < config.verify_max_passes; ++pass) {
-      t_now += config.tau_relax;
-      double g = gap_at(t_now);
-      const double g_disturbed = disturbed_gap(cell, g, config.study.qlc, config.read_disturb);
-      offset += g_disturbed - g;
-      g = g_disturbed;
-      cell.set_gap(g);
-      const std::size_t decoded = programmer.read_level(cell, rng);
-      sample.unrecovered = decoded != level;
-      if (!sample.unrecovered || pass + 1 == config.verify_max_passes) {
-        break;  // in band, or out of re-program budget
-      }
-      // Re-terminate: a fresh relaxation draw replaces the tail event the
-      // verify just caught — the selection effect that recovers the window.
-      programmer.program(cell, level, rng);
-      ++sample.reprogrammed;
-      anchor = cell.gap();
-      t_anchor = t_now;
-      offset = 0.0;
-      relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-    }
-  }
-
-  sample.r_at_time.reserve(config.times.size());
-  for (double t : config.times) {
-    // Observation times are measured from the initial program; times earlier
-    // than the last verify event evaluate at that event (t_eff clamped >= 0).
-    sample.r_at_time.push_back(read_resistance(cell, gap_at(t), config.study.qlc));
-  }
-  return sample;
-}
 
 }  // namespace
 
@@ -145,8 +53,7 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
   report.trials = config.study.mc.trials;
   report.bits = config.study.qlc.allocation.bits;
   report.relax_verify = config.relax_verify;
-  report.tau_relax = config.tau_relax;
-  report.verify_max_passes = config.verify_max_passes;
+  report.verify = config.verify;
   report.times = config.times;
 
   // Per-level MC (seeded exactly like run_level_study), collected into one
@@ -166,13 +73,36 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
   const std::size_t trials = config.study.mc.trials;
   const std::size_t total = n_levels * trials;
   std::vector<TrialSample> samples(total);
+  const VerifyScrubStepper stepper{programmer, config.drift, config.read_disturb};
   util::ParallelForOptions pool;
   pool.threads = config.study.mc.threads;
   util::parallel_for(total, pool, [&](std::size_t begin, std::size_t end) {
+    // One claimed chunk is programmed, and verified, as one word.
+    std::vector<reliability::CellTrajectory> cells;
+    std::vector<std::size_t> targets;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t level = i / trials;
       Rng rng = mc::trial_rng(study_level_seed(config.study.mc.seed, level), i % trials);
-      samples[i] = run_trial(config, programmer, level, rng);
+      const oxram::OxramParams device =
+          oxram::sample_device(config.study.nominal, config.study.variability, rng);
+      cells.push_back({oxram::FastCell::formed_lrs(device, config.study.stack), std::move(rng)});
+      targets.push_back(level);
+    }
+    const std::vector<ProgramOutcome> outcomes = stepper.program(cells, targets);
+    std::vector<VerifyOutcome> verified(cells.size());
+    if (config.relax_verify) verified = stepper.verify(cells, targets, config.verify);
+
+    const QlcConfig& qlc = config.study.qlc;
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      TrialSample& sample = samples[begin + k];
+      sample.programmed = outcomes[k];
+      sample.verified = verified[k];
+      // Observed without disturb; times before the last verify event
+      // evaluate at that event.
+      for (const double t : config.times) {
+        cells[k].cell.set_gap(cells[k].gap_at(config.drift, t));
+        sample.r_at_time.push_back(cells[k].cell.read(qlc.v_read, qlc.v_wl_read).r_cell);
+      }
     }
   });
   metrics.trials.add(total);
@@ -184,22 +114,17 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
     dist0.level = config.study.qlc.allocation.levels[level];
     for (std::size_t t = 0; t < trials; ++t) {
       const TrialSample& sample = level_samples[t];
-      dist0.resistance.push_back(sample.r_initial);
-      dist0.energy.push_back(sample.energy);
-      dist0.latency.push_back(sample.latency);
-      report.verify_reprogrammed += sample.reprogrammed;
-      report.verify_unrecovered += sample.unrecovered ? 1 : 0;
+      dist0.resistance.push_back(sample.programmed.resistance);
+      dist0.energy.push_back(sample.programmed.energy);
+      dist0.latency.push_back(sample.programmed.latency);
+      report.verify_reprogrammed += sample.verified.reprograms;
+      report.verify_unrecovered += sample.verified.in_band ? 0 : 1;
     }
     for (std::size_t k = 0; k < config.times.size(); ++k) {
+      // The as-programmed energies and latencies, the drifted resistances.
       LevelDistribution& dist = report.points[k].levels[level];
-      dist.level = config.study.qlc.allocation.levels[level];
-      dist.resistance.reserve(trials);
-      for (std::size_t t = 0; t < trials; ++t) {
-        const TrialSample& sample = level_samples[t];
-        dist.resistance.push_back(sample.r_at_time[k]);
-        dist.energy.push_back(sample.energy);
-        dist.latency.push_back(sample.latency);
-      }
+      dist = dist0;
+      for (std::size_t t = 0; t < trials; ++t) dist.resistance[t] = level_samples[t].r_at_time[k];
     }
   }
 
@@ -264,8 +189,8 @@ obs::Json to_json(const RetentionReport& report) {
   root.set("trials", obs::Json(static_cast<double>(report.trials)));
   root.set("bits", obs::Json(static_cast<double>(report.bits)));
   root.set("relax_verify", obs::Json(report.relax_verify));
-  root.set("tau_relax_s", obs::Json(report.tau_relax));
-  root.set("verify_max_passes", obs::Json(static_cast<double>(report.verify_max_passes)));
+  root.set("tau_relax_s", obs::Json(report.verify.tau_relax));
+  root.set("verify_max_passes", obs::Json(static_cast<double>(report.verify.max_passes)));
   root.set("verify_reprogrammed", obs::Json(static_cast<double>(report.verify_reprogrammed)));
   root.set("verify_unrecovered", obs::Json(static_cast<double>(report.verify_unrecovered)));
   root.set("initial", margin_json(report.initial_margins, report.initial_ber));

@@ -2,11 +2,10 @@
 //
 // One trial = one D2D-sampled device, programmed to its level exactly as in
 // run_level_study, then evolved under the two-component drift law of
-// oxram/drift.hpp and re-read at each observation time. With relax_verify on,
-// the trial additionally runs the relaxation-aware verify of
-// MemoryController/arXiv:2301.08516 right after programming: wait tau_relax,
-// re-sense (one read-disturb event), re-terminate if the decode left the
-// target band, for at most verify_max_passes rounds. Comparing the verify-on
+// oxram/drift.hpp and re-read at each observation time. Trials run through
+// mlc::VerifyScrubStepper, one claimed parallel_for chunk per program_word;
+// with relax_verify on, the stepper's relaxation-aware verify
+// (arXiv:2301.08516) follows right after programming. Comparing the verify-on
 // and verify-off branches at the same seed quantifies how much of the drift-
 // lost inter-level window the verify recovers (recovered_window_fraction —
 // the acceptance metric of the reliability subsystem).
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "mlc/mc_study.hpp"
+#include "mlc/verify_scrub.hpp"
 #include "obs/json.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
@@ -39,8 +39,7 @@ struct RetentionConfig {
   reliability::ReadDisturbModel read_disturb;
   std::vector<double> times;  // ascending observation times (s) after program
   bool relax_verify = false;
-  double tau_relax = 1e-3;    // s between program and each verify re-sense
-  std::size_t verify_max_passes = 2;
+  VerifyTiming verify;        // used when relax_verify is on
 
   // The paper study config plus a decade ladder 1 ms .. 10^7 s.
   static RetentionConfig paper_default(std::size_t bits = 4, std::size_t trials = 200);
@@ -58,8 +57,7 @@ struct RetentionReport {
   std::size_t trials = 0;
   std::size_t bits = 0;
   bool relax_verify = false;
-  double tau_relax = 0.0;
-  std::size_t verify_max_passes = 0;
+  VerifyTiming verify;
   std::vector<double> times;
 
   MarginReport initial_margins;  // as-programmed (t = 0), before any drift

@@ -46,6 +46,30 @@ oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceM
   return worn;
 }
 
+double read_disturbed_gap(const oxram::FastCell& cell, double gap, double v_read, double v_wl,
+                          double stress) {
+  const oxram::StackOperatingPoint op = oxram::solve_stack(
+      cell.params(), gap, cell.stack(), oxram::Polarity::kSet, v_read, v_wl);
+  const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, gap, cell.virgin(), stress,
+                                           cell.rate_factor());
+  const double g_rest =
+      oxram::advance_gap(cell.params(), 0.0, gap, cell.virgin(), stress, cell.rate_factor());
+  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
+}
+
+double CellTrajectory::gap_at(const oxram::DriftParams& drift, double t_abs) const {
+  const double g = oxram::drifted_gap(drift, anchor, cell.params().g_min, relax_amp, drift_amp,
+                                      std::max(t_abs - t_anchor, 0.0));
+  return std::clamp(g + offset, cell.params().g_min, cell.params().g_max);
+}
+
+void CellTrajectory::reprogrammed(const oxram::DriftParams& drift, double t_abs) {
+  anchor = cell.gap();
+  t_anchor = t_abs;
+  offset = 0.0;
+  relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+}
+
 ReliabilityEngine::ReliabilityEngine(array::FastArray& array, ReliabilityConfig config)
     : array_(array), config_(config) {
   const std::size_t n = array_.size();
@@ -116,22 +140,11 @@ void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_
   // The sense biases the cell in the SET polarity (BL positive), so the
   // disturb reduces the gap; at 0.3 V the bias-driven rate is many orders
   // below the programming rate, which is precisely why reads are cheap —
-  // but 1e6+ reads or an accelerated stress budget add up. Only the excess
-  // over the zero-bias trajectory is billed to the read: the compact model's
-  // accelerated barriers produce a small V = 0 drift (a time-scale artifact,
-  // see bench_ext_read_disturb/DESIGN.md) that is not the read's fault.
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), cell.gap(), cell.stack(), oxram::Polarity::kSet,
-                         v_read, v_wl);
+  // but 1e6+ reads or an accelerated stress budget add up.
   const double stress = static_cast<double>(n) * config_.read_disturb.t_read *
                         config_.read_disturb.accel;
   const double g_before = cell.gap();
-  const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, g_before,
-                                           cell.virgin(), stress, cell.rate_factor());
-  const double g_rest = oxram::advance_gap(cell.params(), 0.0, g_before, cell.virgin(),
-                                           stress, cell.rate_factor());
-  const double g_after = std::clamp(g_before + (g_bias - g_rest), cell.params().g_min,
-                                    cell.params().g_max);
+  const double g_after = read_disturbed_gap(cell, g_before, v_read, v_wl, stress);
   disturb_offset_[i] += g_after - g_before;
   cell.set_gap(g_after);
   ReliabilityMetrics::get().reads_disturbed.add(n);
@@ -164,14 +177,6 @@ void ReliabilityEngine::advance(double dt) {
     }
   }
   metrics.lanes_advanced.add(advanced);
-}
-
-double ReliabilityEngine::scalar_reference_gap(std::size_t row, std::size_t col,
-                                               double t_since_anchor) const {
-  const std::size_t i = index(row, col);
-  const double g = oxram::drifted_gap(config_.drift, anchor_gap_[i], g_min_[i], relax_amp_[i],
-                                      drift_amp_[i], t_since_anchor);
-  return std::clamp(g + disturb_offset_[i], g_min_[i], array_.at(row, col).params().g_max);
 }
 
 bool ReliabilityEngine::programmed(std::size_t row, std::size_t col) const {

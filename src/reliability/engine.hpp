@@ -7,9 +7,9 @@
 //   * retention/relaxation drift — the two-component log-time law of
 //     oxram/drift.hpp, advanced for the whole array through the batched SoA
 //     kernel (advance());
-//   * read disturb — every sense operation biases the cell at the read
-//     voltage in the SET polarity, nudging the gap toward LRS by the physics
-//     rate integrated over the sense duration (on_read() / apply_reads());
+//   * read disturb — every sense biases the cell at the read voltage in the
+//     SET polarity, nudging the gap toward LRS (read_disturbed_gap(), the one
+//     disturb step, shared by apply_reads() and mlc::VerifyScrubStepper);
 //   * endurance — cycle counts per cell compress the switching window
 //     (g_min up, g_max down) log-linearly past an onset (EnduranceModel).
 //
@@ -21,10 +21,10 @@
 // same contract as FastArray's variability streams.
 //
 // MemoryController::attach_reliability() wires program/read notifications
-// automatically and adds the relaxation-aware verify and scrub policies on
-// top (see mlc/controller.hpp). Cells mutated outside the engine's view
-// (manual set_gap) must be re-anchored with on_programmed() or the next
-// advance() will overwrite the manual state.
+// and adds verify and scrub on top (mlc/controller.hpp). Cells mutated
+// outside the engine's view (manual set_gap) must be re-anchored with
+// on_programmed() or the next advance() overwrites them. Cells outside any
+// array run as CellTrajectory values instead (ECC channel, retention study).
 //
 // Telemetry: reliability.* counters/timers in the oxmlc.metrics.v1 registry
 // (advances, lanes_advanced, reads_disturbed, program_events, advance_time).
@@ -66,6 +66,31 @@ struct EnduranceModel {
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
                                std::uint64_t cycles);
 
+// One read-disturb step: `stress` seconds of SET-polarity read bias on `cell`
+// at `gap`, billed as the excess over the zero-bias trajectory (the V = 0
+// drift is a model time-scale artifact). Returns the clamped disturbed gap.
+double read_disturbed_gap(const oxram::FastCell& cell, double gap, double v_read, double v_wl,
+                          double stress);
+
+// One cell evolved along the drift law outside any array, owning its device
+// state and random stream: ReliabilityEngine's per-cell SoA state as scalars.
+// mlc::VerifyScrubStepper senses and reprograms these.
+struct CellTrajectory {
+  oxram::FastCell cell;
+  Rng rng;
+  double anchor = 0.0;     // gap at the last program event
+  double relax_amp = 0.0;  // that event's relaxation amplitude
+  double drift_amp = 0.0;  // the cell's slow-drift amplitude
+  double t_anchor = 0.0;   // absolute time of the last program event
+  double offset = 0.0;     // accumulated read-disturb gap shift
+
+  // Drift-law gap at absolute time t_abs plus the disturb offset, clamped.
+  double gap_at(const oxram::DriftParams& drift, double t_abs) const;
+  // A program event at t_abs: re-anchors, clears the offset and draws a
+  // fresh relaxation amplitude (the drift amplitude is per cell).
+  void reprogrammed(const oxram::DriftParams& drift, double t_abs);
+};
+
 struct ReliabilityConfig {
   oxram::DriftParams drift;
   ReadDisturbModel read_disturb;
@@ -89,9 +114,9 @@ class ReliabilityEngine {
   // cycle count and applies endurance wear to the cell's parameters.
   void on_programmed(std::size_t row, std::size_t col);
 
-  // Read-disturb notification: integrates the gap ODE at the solved cell
-  // voltage of one sense (n senses for apply_reads) and folds the result
-  // into the cell state immediately.
+  // Read-disturb notification: one read_disturbed_gap step over the stress
+  // time of one sense (n senses for apply_reads), folded into the cell state
+  // immediately.
   void on_read(std::size_t row, std::size_t col, double v_read = 0.3, double v_wl = 2.5);
   void apply_reads(std::size_t row, std::size_t col, std::size_t n, double v_read = 0.3,
                    double v_wl = 2.5);
@@ -100,12 +125,6 @@ class ReliabilityEngine {
   // programmed cell's gap from its drift trajectory (batched kernel) plus
   // its accumulated disturb offset. Never-programmed cells are untouched.
   void advance(double dt);
-
-  // Scalar reference for the state advance() writes into cell (row, col) at
-  // `t_since_anchor` seconds after its last program event — drifted_gap()
-  // plus the disturb offset, clamped to the cell's window. The batch-vs-
-  // scalar acceptance test pins advance() against this at 1e-9 relative.
-  double scalar_reference_gap(std::size_t row, std::size_t col, double t_since_anchor) const;
 
   // Per-cell evolution state, exposed for tests and analysis tooling.
   bool programmed(std::size_t row, std::size_t col) const;

@@ -329,7 +329,7 @@ TEST(MlcConfigLint, UnderHorizonVerifyKeepsWideningAndWarns) {
   // filter the tail: the widening stays in play on top of the OXC006 warning.
   mlca::MlcLintInput input = two_level_input();
   input.levels = {{0, 36e-6, 100e3}, {1, 6e-6, 140e3}};
-  input.tau_relax = 2e-6;
+  input.verify.tau_relax = 2e-6;
   const auto report = mlca::lint_mlc_config(input);
   EXPECT_TRUE(report.has_code(codes::kVerifyUnderHorizon)) << report.format();
   EXPECT_TRUE(report.has_code(codes::kBandOverlap)) << report.format();
@@ -337,7 +337,7 @@ TEST(MlcConfigLint, UnderHorizonVerifyKeepsWideningAndWarns) {
 
 TEST(MlcConfigLint, OverHorizonVerifyWarns) {
   mlca::MlcLintInput input = two_level_input();
-  input.tau_relax = 1000.0;
+  input.verify.tau_relax = 1000.0;
   const auto report = mlca::lint_mlc_config(input);
   EXPECT_TRUE(report.has_code(codes::kVerifyOverHorizon)) << report.format();
   EXPECT_FALSE(report.has_errors());
@@ -405,8 +405,8 @@ TEST(MlcConfigLint, ParserAcceptsSiSuffixes) {
       ".level value=1 iref=6u r=200k\n"
       ".verify tau_relax=1m max_passes=2\n");
   EXPECT_DOUBLE_EQ(input.levels[0].r_nominal, 100e3);
-  EXPECT_DOUBLE_EQ(input.tau_relax, 1e-3);
-  EXPECT_EQ(input.verify_max_passes, 2u);
+  EXPECT_DOUBLE_EQ(input.verify.tau_relax, 1e-3);
+  EXPECT_EQ(input.verify.max_passes, 2u);
 }
 
 TEST(MlcConfigLint, WideningIsIdentityWithoutDrift) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ecc/bch.hpp"
@@ -12,6 +15,8 @@
 #include "ecc/gray.hpp"
 #include "ecc/secded.hpp"
 #include "mlc/program.hpp"
+#include "oxram/model.hpp"
+#include "reliability/engine.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::ecc {
@@ -549,6 +554,170 @@ TEST(Channel, EffectiveCyclesInterpolatesHotToUniform) {
   EXPECT_LT(partial, hot);
   // More frequent rotation never increases billed wear.
   EXPECT_LE(effective_cycles(model, 2000), effective_cycles(model, 20'000));
+}
+
+// ---------------------------------------------------------------------------
+// Channel oracle: the per-cell verify and scrub loop simulate_word ran before
+// it moved onto mlc::VerifyScrubStepper. Each cell is sensed and re-terminated
+// on its own, through the one-cell QlcProgrammer::program; the batched
+// stepper must reproduce it exactly.
+// ---------------------------------------------------------------------------
+
+namespace per_cell {
+
+double disturbed_gap(const oxram::FastCell& cell, double gap, const mlc::QlcConfig& qlc,
+                     const reliability::ReadDisturbModel& disturb) {
+  if (!disturb.enabled) {
+    return gap;
+  }
+  const oxram::StackOperatingPoint op =
+      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
+                         qlc.v_read, qlc.v_wl_read);
+  const double stress = disturb.t_read * disturb.accel;
+  const double g_bias =
+      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
+  const double g_rest =
+      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
+  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
+}
+
+struct CellState {
+  oxram::FastCell cell;
+  Rng rng;
+  double anchor = 0.0;
+  double relax_amp = 0.0;
+  double drift_amp = 0.0;
+  double t_anchor = 0.0;
+  double offset = 0.0;
+
+  double gap_at(const oxram::DriftParams& drift, double t_abs) const {
+    const double g = oxram::drifted_gap(drift, anchor, cell.params().g_min, relax_amp,
+                                        drift_amp, std::max(t_abs - t_anchor, 0.0));
+    return std::clamp(g + offset, cell.params().g_min, cell.params().g_max);
+  }
+
+  void reprogrammed(const oxram::DriftParams& drift, double t_abs) {
+    anchor = cell.gap();
+    t_anchor = t_abs;
+    offset = 0.0;
+    relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+  }
+};
+
+std::size_t sense_at(CellState& state, const ChannelConfig& config,
+                     const mlc::QlcProgrammer& programmer, double t) {
+  const double g = state.gap_at(config.drift, t);
+  const double g_disturbed =
+      disturbed_gap(state.cell, g, config.study.qlc, config.read_disturb);
+  state.offset += g_disturbed - g;
+  state.cell.set_gap(g_disturbed);
+  return programmer.read_level(state.cell, state.rng);
+}
+
+WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
+                        std::size_t cells, Rng& rng) {
+  const std::size_t n_levels = config.study.qlc.allocation.count();
+  const std::size_t scrub_events =
+      config.policy.scrub_period_s > 0.0
+          ? static_cast<std::size_t>(config.horizon_s / config.policy.scrub_period_s)
+          : 0;
+  WordTrial trial;
+  trial.target.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    trial.target[i] = static_cast<std::size_t>(rng.uniform_index(n_levels));
+  }
+  const auto cycles = static_cast<std::uint64_t>(
+      std::llround(effective_cycles(config.wear, config.policy.rotate_every_writes)));
+
+  std::vector<CellState> states;
+  states.reserve(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    Rng cell_rng = rng.split();
+    const oxram::OxramParams fresh =
+        oxram::sample_device(config.study.nominal, config.study.variability, cell_rng);
+    const oxram::OxramParams device = reliability::worn_params(fresh, config.endurance, cycles);
+    states.push_back({oxram::FastCell::formed_lrs(device, config.study.stack),
+                      std::move(cell_rng)});
+  }
+  for (std::size_t i = 0; i < cells; ++i) {
+    CellState& state = states[i];
+    programmer.program(state.cell, trial.target[i], state.rng);
+    state.anchor = state.cell.gap();
+    state.relax_amp = oxram::sample_relaxation_amplitude(config.drift, state.rng);
+    state.drift_amp = oxram::sample_drift_amplitude(config.drift, state.rng);
+  }
+
+  if (config.policy.relax_verify) {
+    for (std::size_t i = 0; i < cells; ++i) {
+      CellState& state = states[i];
+      double t_now = 0.0;
+      for (std::size_t pass = 0; pass < config.verify.max_passes; ++pass) {
+        t_now += config.verify.tau_relax;
+        if (sense_at(state, config, programmer, t_now) == trial.target[i]) break;
+        if (pass + 1 == config.verify.max_passes) break;  // out of budget
+        programmer.program(state.cell, trial.target[i], state.rng);
+        ++trial.verify_reprograms;
+        state.reprogrammed(config.drift, t_now);
+      }
+    }
+  }
+
+  for (std::size_t event = 1; event <= scrub_events; ++event) {
+    const double t = static_cast<double>(event) * config.policy.scrub_period_s;
+    for (std::size_t i = 0; i < cells; ++i) {
+      CellState& state = states[i];
+      if (sense_at(state, config, programmer, t) == trial.target[i]) continue;
+      programmer.program(state.cell, trial.target[i], state.rng);
+      ++trial.scrub_reprograms;
+      state.reprogrammed(config.drift, t);
+    }
+  }
+
+  trial.observed.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    trial.observed[i] = sense_at(states[i], config, programmer, config.horizon_s);
+  }
+  return trial;
+}
+
+}  // namespace per_cell
+
+TEST(Channel, BatchedPolicyMatchesPerCellReference) {
+  const mlc::McStudyConfig study = mlc::paper_mc_study(4, 4);
+  const mlc::QlcProgrammer programmer(study.qlc);
+  std::uint32_t verify_total = 0;
+  std::uint32_t scrub_total = 0;
+  for (const bool verify : {false, true}) {
+    for (const double scrub : {0.0, 1e6, 3e5}) {
+      for (const std::uint64_t seed : {0x5EEDULL, 0xBEEFULL, 0xC0DEULL}) {
+        ChannelConfig config;
+        config.study = study;
+        config.policy = {scrub, verify, 0};
+        config.horizon_s = 3e6;  // 3 and 10 scrub events keep the oracle affordable
+        // Amplified relaxation and a third pass, so the verify re-terminates
+        // cells on every pass but the last.
+        config.drift.relax_fraction = 0.05;
+        config.drift.sigma_relax = 0.7;
+        config.verify.max_passes = 3;
+        Rng batched_rng(seed);
+        Rng per_cell_rng(seed);
+        const WordTrial batched = simulate_word(config, programmer, 12, batched_rng);
+        const WordTrial reference = per_cell::simulate_word(config, programmer, 12, per_cell_rng);
+        const std::string label = "verify=" + std::to_string(verify) +
+                                  " scrub=" + std::to_string(scrub) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(batched.target, reference.target) << label;
+        EXPECT_EQ(batched.observed, reference.observed) << label;
+        EXPECT_EQ(batched.verify_reprograms, reference.verify_reprograms) << label;
+        EXPECT_EQ(batched.scrub_reprograms, reference.scrub_reprograms) << label;
+        verify_total += reference.verify_reprograms;
+        scrub_total += reference.scrub_reprograms;
+      }
+    }
+  }
+  // The sweep exercises both reprogram paths.
+  EXPECT_GT(verify_total, 0u);
+  EXPECT_GT(scrub_total, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mlc/controller.hpp"
+#include "mlc/verify_scrub.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
 #include "util/error.hpp"
@@ -208,7 +209,15 @@ TEST(ReliabilityEngine, AdvanceMatchesScalarReferenceOn4096Cells) {
   engine.advance(999.5);
   for (std::size_t row = 0; row < grid.rows(); ++row) {
     for (std::size_t col = 0; col < grid.cols(); ++col) {
-      const double reference = engine.scalar_reference_gap(row, col, 1000.0);
+      // Scalar reference: drifted_gap() plus the disturb offset, clamped to
+      // the cell's window.
+      const oxram::OxramParams& params = grid.at(row, col).params();
+      const double reference = std::clamp(
+          oxram::drifted_gap(config.drift, engine.anchor_gap(row, col), params.g_min,
+                             engine.relax_amplitude(row, col), engine.drift_amplitude(row, col),
+                             1000.0) +
+              engine.disturb_offset(row, col),
+          params.g_min, params.g_max);
       EXPECT_NEAR(grid.at(row, col).gap(), reference, 1e-9 * reference)
           << "cell (" << row << ", " << col << ")";
     }
@@ -341,6 +350,55 @@ TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
   EXPECT_LE(stats.verify_passes, policy.max_passes);
   EXPECT_GT(stats.reprogrammed, 0u);
   EXPECT_GT(stats.latency, policy.tau_relax);  // the wait is charged to the write
+}
+
+// The two verify budget rules (documented on VerifyTiming and VerifyPolicy),
+// pinned at max_passes = 1 so neither can flip silently. The controller
+// re-terminates after every failed re-sense, the last one included.
+TEST_F(ReliabilityControllerFixture, ControllerReprogramsAfterTheLastReSense) {
+  ReliabilityConfig rel;
+  rel.read_disturb.enabled = false;
+  rel.drift.relax_fraction = 0.05;
+  rel.drift.sigma_relax = 0.7;
+  ReliabilityEngine engine(memory, rel);
+  mlc::VerifyPolicy policy;
+  policy.enabled = true;
+  policy.max_passes = 1;
+  controller.attach_reliability(&engine, policy);
+  controller.form();
+
+  const std::vector<std::size_t> deep(8, 15);
+  const mlc::WordWriteStats stats = controller.write_word_levels(0, deep);
+  EXPECT_EQ(stats.verify_passes, 1u);
+  EXPECT_GE(stats.reprogrammed, 1u);
+}
+
+// The stepper's last re-sense only checks: max_passes = 1 finds the slipped
+// cells but re-terminates none of them.
+TEST_F(ReliabilityControllerFixture, StepperLastReSenseOnlyChecks) {
+  oxram::DriftParams drift;
+  drift.relax_fraction = 0.05;
+  drift.sigma_relax = 0.7;
+  ReadDisturbModel disturb;
+  disturb.enabled = false;
+  const mlc::VerifyScrubStepper stepper{programmer, drift, disturb};
+
+  std::vector<CellTrajectory> cells;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    cells.push_back({oxram::FastCell::formed_lrs(oxram::OxramParams{}, oxram::StackConfig{}),
+                     Rng(0x5EED + i)});
+  }
+  const std::vector<std::size_t> deep(cells.size(), 15);
+  stepper.program(cells, deep);
+  mlc::VerifyTiming timing;
+  timing.max_passes = 1;
+  const std::vector<mlc::VerifyOutcome> outcomes = stepper.verify(cells, deep, timing);
+  std::size_t slipped = 0;
+  for (const mlc::VerifyOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.reprograms, 0u);
+    slipped += outcome.in_band ? 0 : 1;
+  }
+  EXPECT_GE(slipped, 1u);  // there was work the budget did not allow
 }
 
 TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {

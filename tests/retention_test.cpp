@@ -4,8 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#include "mc/runner.hpp"
 #include "mlc/retention.hpp"
 #include "obs/json.hpp"
+#include "oxram/model.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::mlc {
@@ -78,7 +80,7 @@ TEST(Retention, MarginClosureIsMonotoneOverDecades) {
 TEST(Retention, RelaxVerifyRecoversAtLeastHalfTheLostWindow) {
   RetentionConfig config = small_config(4, 24);
   config.times = {1e-3, 1e-2, 1e-1, 1.0};  // fast-relaxation-dominated decades
-  config.verify_max_passes = 5;
+  config.verify.max_passes = 5;
   const RetentionComparison comparison = run_retention_comparison(config);
 
   // Same seed: the as-programmed populations are bit-identical.
@@ -120,6 +122,112 @@ TEST(Retention, SeedChangesTheReport) {
   const RetentionReport b = run_retention_study(config);
   EXPECT_EQ(a.seed ^ 0x1234, b.seed);
   EXPECT_NE(to_json(a).dump(), to_json(b).dump());
+}
+
+// The per-trial loop run_retention_study ran before it moved onto
+// VerifyScrubStepper: each trial programmed, verified and re-terminated on its
+// own through the one-cell QlcProgrammer::program. The batched study must
+// reproduce its resistances exactly.
+struct ReferenceTrial {
+  std::vector<double> r_at_time;
+  std::uint32_t reprogrammed = 0;
+  bool unrecovered = false;
+};
+
+double reference_disturbed_gap(const oxram::FastCell& cell, double gap, const QlcConfig& qlc,
+                               const reliability::ReadDisturbModel& disturb) {
+  if (!disturb.enabled) {
+    return gap;
+  }
+  const oxram::StackOperatingPoint op =
+      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
+                         qlc.v_read, qlc.v_wl_read);
+  const double stress = disturb.t_read * disturb.accel;
+  const double g_bias =
+      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
+  const double g_rest =
+      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
+  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
+}
+
+ReferenceTrial reference_trial(const RetentionConfig& config, const QlcProgrammer& programmer,
+                               std::size_t level, Rng& rng) {
+  const oxram::OxramParams device =
+      oxram::sample_device(config.study.nominal, config.study.variability, rng);
+  oxram::FastCell cell = oxram::FastCell::formed_lrs(device, config.study.stack);
+  programmer.program(cell, level, rng);
+
+  ReferenceTrial trial;
+  const oxram::DriftParams& drift = config.drift;
+  double anchor = cell.gap();
+  double relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+  const double drift_amp = oxram::sample_drift_amplitude(drift, rng);
+  double t_anchor = 0.0;
+  double t_now = 0.0;
+  double offset = 0.0;
+  const auto gap_at = [&](double t_abs) {
+    const double g = oxram::drifted_gap(drift, anchor, device.g_min, relax_amp, drift_amp,
+                                        std::max(t_abs - t_anchor, 0.0));
+    return std::clamp(g + offset, device.g_min, device.g_max);
+  };
+
+  if (config.relax_verify) {
+    for (std::size_t pass = 0; pass < config.verify.max_passes; ++pass) {
+      t_now += config.verify.tau_relax;
+      const double g = gap_at(t_now);
+      const double g_disturbed =
+          reference_disturbed_gap(cell, g, config.study.qlc, config.read_disturb);
+      offset += g_disturbed - g;
+      cell.set_gap(g_disturbed);
+      trial.unrecovered = programmer.read_level(cell, rng) != level;
+      if (!trial.unrecovered || pass + 1 == config.verify.max_passes) break;
+      programmer.program(cell, level, rng);
+      ++trial.reprogrammed;
+      anchor = cell.gap();
+      t_anchor = t_now;
+      offset = 0.0;
+      relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+    }
+  }
+  const QlcConfig& qlc = config.study.qlc;
+  for (const double t : config.times) {
+    cell.set_gap(gap_at(t));
+    trial.r_at_time.push_back(cell.read(qlc.v_read, qlc.v_wl_read).r_cell);
+  }
+  return trial;
+}
+
+TEST(Retention, BatchedVerifyMatchesPerTrialReference) {
+  RetentionConfig config = small_config(4, 5);
+  config.times = {1e-3, 1.0, 1e4};
+  config.relax_verify = true;
+  // Amplified relaxation and a third pass, so the verify re-terminates trials
+  // on every pass but the last.
+  config.drift.relax_fraction = 0.05;
+  config.drift.sigma_relax = 0.7;
+  config.verify.max_passes = 3;
+  config.study.mc.threads = 2;  // several claimed chunks, each one batch
+  const RetentionReport report = run_retention_study(config);
+
+  const QlcProgrammer programmer(config.study.qlc);
+  const std::size_t levels = config.study.qlc.allocation.count();
+  std::size_t reprogrammed = 0;
+  std::size_t unrecovered = 0;
+  for (std::size_t level = 0; level < levels; ++level) {
+    for (std::size_t t = 0; t < config.study.mc.trials; ++t) {
+      Rng rng = mc::trial_rng(study_level_seed(config.study.mc.seed, level), t);
+      const ReferenceTrial trial = reference_trial(config, programmer, level, rng);
+      reprogrammed += trial.reprogrammed;
+      unrecovered += trial.unrecovered ? 1 : 0;
+      for (std::size_t k = 0; k < config.times.size(); ++k) {
+        EXPECT_EQ(report.points[k].levels[level].resistance[t], trial.r_at_time[k])
+            << "level " << level << " trial " << t << " time " << config.times[k];
+      }
+    }
+  }
+  EXPECT_GT(reprogrammed, 0u);
+  EXPECT_EQ(report.verify_reprogrammed, reprogrammed);
+  EXPECT_EQ(report.verify_unrecovered, unrecovered);
 }
 
 TEST(Retention, JsonReportFollowsSchema) {

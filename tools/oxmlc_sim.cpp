@@ -352,11 +352,7 @@ int run_retention(const CliOptions& options) {
   rel.read_disturb = config.read_disturb;
   rel.seed = seed ^ 0x0DD5EEDULL;
   reliability::ReliabilityEngine engine(grid, rel);
-  mlc::VerifyPolicy verify;
-  verify.enabled = true;
-  verify.tau_relax = config.tau_relax;
-  verify.max_passes = config.verify_max_passes;
-  controller.attach_reliability(&engine, verify);
+  controller.attach_reliability(&engine, mlc::VerifyPolicy{config.verify, true});
   controller.form();
   Rng pattern_rng(seed ^ 0x7A77E24ULL);
   const std::size_t level_count = config.study.qlc.allocation.count();
