@@ -11,9 +11,10 @@ Absolute cells/s numbers are machine-dependent — a laptop baseline would trip
 on every CI runner. The gate therefore checks *ratio* metrics, which carry
 their own same-machine control group:
 
-* BENCH_batch.json: ``speedup`` (batch vs the serial FastCell loop measured
-  in the same process) and ``vector_speedup`` (SIMD engine vs the scalar
-  reference engine) per lane-count sweep.
+* BENCH_batch.json: ``speedup`` (dispatched batch engine vs a serial
+  per-cell loop on the scalar reference engine, measured in the same
+  process) and ``vector_speedup`` (SIMD engine vs a reference-engine batch)
+  per lane-count sweep.
 * BENCH_array_scale.json: ``cells_per_s`` normalized is not possible (no
   in-run control), so only its invariants are gated: every cell must have
   terminated.

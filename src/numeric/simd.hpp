@@ -3,16 +3,20 @@
 //
 // Two interchangeable backends implement the same 4-lane pack interface:
 //
-//   * PackAvx    — AVX2 + FMA intrinsics, compiled only when the translation
-//                  unit is built with those ISAs enabled (OXMLC_NATIVE, or an
-//                  explicit -march=x86-64-v3 style flag).
+//   * PackAvx    — AVX2 + FMA intrinsics. Its definition below needs a TU
+//                  compiled with those ISAs, and only the ISA-isolated pack
+//                  TUs are (src/oxram/pack_avx2.cpp, built with
+//                  -mavx2 -mfma -ffp-contract=off whenever the compiler
+//                  accepts those flags on x86-64). Every other TU sees only
+//                  the forward declaration.
 //   * PackScalar — portable element-wise loops over the *same* arithmetic
 //                  (std::fma where the AVX path uses vfmadd, IEEE ±*/sqrt
 //                  everywhere else), always compiled.
 //
 // Every kernel in the repo is a template over the pack type and is
-// instantiated for both backends, so the two paths execute the same sequence
-// of IEEE-754 double operations lane by lane and produce BITWISE-IDENTICAL
+// instantiated for both backends from one kernel source (the internal header
+// src/oxram/pack_kernels.hpp), so the two paths execute the same sequence of
+// IEEE-754 double operations lane by lane and produce BITWISE-IDENTICAL
 // results — which is what lets the equivalence suite pin "same results across
 // SIMD widths/ISAs" as an exact assertion instead of a tolerance. The
 // transcendentals (exp, log1p) are our own fma-explicit polynomial
@@ -21,12 +25,21 @@
 // against libm at 1e-13 relative), far inside the 1e-9 pin the scalar
 // reference paths are held to.
 //
+// ISA isolation: an AVX2 TU may define no external-linkage code but
+// PackAvx-named symbols. A weak inline function it emitted (std::min, a
+// std::vector member, a PackScalar kernel) could be the copy the linker keeps
+// for the portable path, which would then fault on a CPU without AVX2. The
+// pack kernels therefore touch only raw arrays and call the scalar per-lane
+// work out of line; scripts/check_isa_isolation.py enforces the rule on the
+// built objects.
+//
 // Backend selection is a runtime decision (see simd.cpp): kAuto resolves to
-// AVX2 when the binary carries the AVX2 instantiation *and* cpuid reports the
-// ISA, else the portable pack. The OXMLC_SIMD environment variable and the
-// set_backend_override() test hook force a specific backend; "off" additionally
-// tells call sites (drift batch, CellBatch) to use their scalar reference
-// engines instead of the pack kernels.
+// AVX2 when the build carries the AVX2 instantiation (OXMLC_SIMD_HAS_AVX2,
+// defined by CMake) *and* cpuid reports AVX2 + FMA, else the portable pack.
+// The OXMLC_SIMD environment variable and the set_backend_override() test
+// hook force a specific backend; "off" additionally tells call sites (drift
+// batch, CellBatch) to use their scalar reference engines instead of the pack
+// kernels.
 #pragma once
 
 #include <cmath>
@@ -36,8 +49,11 @@
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
-#define OXMLC_SIMD_HAS_AVX2 1
-#else
+#endif
+
+// 1 when the build carries the AVX2 pack instantiations (set by CMake on
+// oxmlc_numeric); whether the host may run them is avx2_available().
+#ifndef OXMLC_SIMD_HAS_AVX2
 #define OXMLC_SIMD_HAS_AVX2 0
 #endif
 
@@ -57,7 +73,7 @@ enum class Backend {
                  // reference engines (OXMLC_SIMD=off)
 };
 
-// True when this binary contains the AVX2 instantiations AND the host CPU
+// True when the build carries the AVX2 instantiations AND the host CPU
 // reports AVX2 + FMA.
 bool avx2_available();
 
@@ -88,6 +104,10 @@ inline constexpr double kSqrt2 = 1.41421356237309504880168872421;
 // that integer in the low mantissa bits (the classic double->int64 round trip).
 inline constexpr double kShifter = 6755399441055744.0;
 inline constexpr std::int64_t kShifterBits = 0x4338000000000000LL;
+// Special values as constants, not numeric_limits calls: an unoptimized
+// build would emit those inline functions into the ISA-isolated AVX2 TU.
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+inline constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Degree-13 Taylor coefficients of exp(r) on |r| <= ln2/2; truncation error
 // ~2e-18 relative, below the 1-ulp target.
@@ -286,10 +306,13 @@ struct PackScalar {
 };
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA pack (compiled only when the TU targets those ISAs).
+// AVX2 + FMA pack. Declared everywhere so generic TUs can name (and dispatch
+// to) its instantiations; defined only where the TU targets those ISAs.
 // ---------------------------------------------------------------------------
 
-#if OXMLC_SIMD_HAS_AVX2
+struct PackAvx;
+
+#if defined(__AVX2__) && defined(__FMA__)
 struct PackAvx {
   struct Mask {
     __m256d m;
@@ -378,7 +401,7 @@ struct PackAvx {
     return f;
   }
 };
-#endif  // OXMLC_SIMD_HAS_AVX2
+#endif  // __AVX2__ && __FMA__
 
 // ---------------------------------------------------------------------------
 // Transcendentals, templated over the pack. Identical operation sequences in
@@ -403,7 +426,7 @@ typename P::Vec exp(typename P::Vec x) {
   V result = p * P::ldexp_pow2(n);
 
   result = P::select(P::gt(x, overflow),
-                     V::broadcast(std::numeric_limits<double>::infinity()), result);
+                     V::broadcast(detail::kInf), result);
   result = P::select(P::lt(x, underflow), V::broadcast(0.0), result);
   return result;
 }
@@ -431,7 +454,7 @@ typename P::Vec log1p(typename P::Vec x) {
   // Correction for the rounding in u = 1 + x: log1p(x) ~= log(u) + (x-(u-1))/u.
   // Guarded so u == 0 (x == -1) or non-finite u do not poison the result.
   const typename P::Mask finite_u =
-      P::gt(u, V::broadcast(0.0)) & P::lt(u, V::broadcast(std::numeric_limits<double>::infinity()));
+      P::gt(u, V::broadcast(0.0)) & P::lt(u, V::broadcast(detail::kInf));
   const V corr = (x - (u - one)) / u;
   result = result + P::select(finite_u, corr, V::broadcast(0.0));
 
@@ -443,11 +466,11 @@ typename P::Vec log1p(typename P::Vec x) {
   // returning whatever the bit-level decomposition produced.
   result = P::select(P::le(u, V::broadcast(0.0)),
                      P::select(P::lt(u, V::broadcast(0.0)),
-                               V::broadcast(std::numeric_limits<double>::quiet_NaN()),
-                               V::broadcast(-std::numeric_limits<double>::infinity())),
+                               V::broadcast(detail::kNaN),
+                               V::broadcast(-detail::kInf)),
                      result);
-  result = P::select(P::ge(x, V::broadcast(std::numeric_limits<double>::infinity())),
-                     V::broadcast(std::numeric_limits<double>::infinity()), result);
+  result = P::select(P::ge(x, V::broadcast(detail::kInf)),
+                     V::broadcast(detail::kInf), result);
   return result;
 }
 

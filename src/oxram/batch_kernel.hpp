@@ -133,20 +133,31 @@ class CellBatch {
   // of how lanes happen to group into packs — and therefore of sharding.
   std::uint64_t run_span_simd(std::size_t begin, std::size_t end,
                               num::simd::Backend engine);
-  template <typename Pack>
-  std::uint64_t run_span_vector(std::size_t begin, std::size_t end);
+
+  // One lane's pack-engine record: the sampled cell and stack parameters
+  // (filled once per run() by prepare_scratch) and the values one pack step
+  // exchanges between the pack kernel and the scalar helpers below. Plain
+  // doubles, no initializers: the kernel is compiled once per ISA
+  // (pack_kernels.hpp) and must call no inline code outside its pack.
+  struct PackLane {
+    double i0, g0, v0, r_leak, g_min, g_max, g_ref, k0, ea_ox, ea_red, dea_form, axi,
+        bxi, t_ambient, r_th, t_max_rise, g_upper_virgin, rate_factor, r_series, v_wl,
+        acc_vt0, acc_beta, acc_lambda, mir_vt0, mir_beta, is_reset, is_mirror, sign;
+    double gap, warm_v, v_drive, fallback;  // step inputs (load_pack)
+    double v_cell, current;                 // vector stack solve (kernel)
+    double v_signed, virgin;                // settled operating point (settle_pack)
+    double rate, dt, gap_next;              // step size and integrated gap
+  };
+  // Advances lanes[0, count) one step; count <= kPackWidth. Instantiated per
+  // pack type in the ISA-isolated pack TUs (pack_scalar.cpp, pack_avx2.cpp).
   template <typename Pack>
   void step_pack(const std::size_t* lanes, std::size_t count);
-
-  // Flattened per-lane parameter arrays the pack engine gathers from (filled
-  // by prepare_scratch() at run() start when a SIMD engine is selected;
-  // read-only during the run).
-  struct VecScratch {
-    std::vector<double> i0, g0, v0, r_leak, g_min, g_max, g_ref, k0, ea_ox, ea_red,
-        dea_form, axi, bxi, t_ambient, r_th, t_max_rise, g_upper_virgin, r_series,
-        v_wl, acc_vt0, acc_beta, acc_lambda, mir_vt0, mir_beta, is_reset, is_mirror,
-        sign;
-  };
+  // The scalar phases of step_pack, out of line in batch_simd.cpp. Each fills
+  // the pack's tail records (k >= count) with copies of the last real lane.
+  void load_pack(const std::size_t* lanes, std::size_t count, PackLane* pack) const;
+  void settle_pack(const std::size_t* lanes, std::size_t count, PackLane* pack);
+  void size_pack(const std::size_t* lanes, std::size_t count, PackLane* pack) const;
+  void commit_pack(const std::size_t* lanes, std::size_t count, const PackLane* pack);
   void prepare_scratch();
 
   // Hot SoA state, indexed by lane id. gap_, warm_i_ and warm_v_ are read and
@@ -160,7 +171,7 @@ class CellBatch {
   std::vector<double> rate_factor_;
   std::vector<OxramParams> params_;
   std::vector<StackConfig> stacks_;
-  VecScratch scratch_;
+  std::vector<PackLane> scratch_;
 
   std::vector<LaneControl> control_;
   std::vector<FastCell*> cells_;

@@ -68,65 +68,6 @@ void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g
   }
 }
 
-namespace {
-
-// Pack kernel: the same trajectory with the pack transcendentals, 4 lanes per
-// round. Every multiply-add is spelled with P::fma so the compiler cannot
-// contract the portable pack differently from the AVX2 one — the two
-// instantiations must stay bitwise identical.
-template <typename P>
-void drifted_gap_batch_pack(const DriftParams& p, const double* g_anchor,
-                            const double* g_min, const double* relax_amp,
-                            const double* drift_amp, const double* t, double* out,
-                            std::size_t n) {
-  namespace simd = num::simd;
-  using V = typename P::Vec;
-  const double accel = drift_acceleration(p);
-  const V inv_tau_fast = V::broadcast(1.0 / p.tau_fast);
-  const V inv_tau_slow = V::broadcast(accel / p.tau_slow);
-  const V neg_nu_fast = V::broadcast(-p.nu_fast);
-  const V neg_nu_slow = V::broadcast(-p.nu_slow);
-  const V zero = V::broadcast(0.0);
-  const V one = V::broadcast(1.0);
-
-  const auto kernel = [&](V ga, V gm, V ra, V da, V ti) {
-    const V phi_fast =
-        one - simd::exp<P>(neg_nu_fast * simd::log1p<P>(ti * inv_tau_fast));
-    const V phi_slow =
-        one - simd::exp<P>(neg_nu_slow * simd::log1p<P>(ti * inv_tau_slow));
-    const V depth = P::max(ga - gm, zero);
-    const V loss = P::min(P::fma(ra, phi_fast, da * phi_slow), one);
-    const V drifted = P::fma(zero - depth, loss, ga);
-    // t <= 0 lanes stay at the anchor, exactly like the reference early-out.
-    return P::select(P::le(ti, zero), ga, drifted);
-  };
-
-  std::size_t i = 0;
-  for (; i + simd::kPackWidth <= n; i += simd::kPackWidth) {
-    kernel(V::load(&g_anchor[i]), V::load(&g_min[i]), V::load(&relax_amp[i]),
-           V::load(&drift_amp[i]), V::load(&t[i]))
-        .store(&out[i]);
-  }
-  if (i < n) {
-    // Remainder: pad the tail into full packs (lanewise ops cannot leak across
-    // lanes, so the padding value is irrelevant — t = 0 keeps it benign).
-    double ga[simd::kPackWidth] = {}, gm[simd::kPackWidth] = {},
-           ra[simd::kPackWidth] = {}, da[simd::kPackWidth] = {},
-           ti[simd::kPackWidth] = {}, res[simd::kPackWidth] = {};
-    for (std::size_t k = i; k < n; ++k) {
-      ga[k - i] = g_anchor[k];
-      gm[k - i] = g_min[k];
-      ra[k - i] = relax_amp[k];
-      da[k - i] = drift_amp[k];
-      ti[k - i] = t[k];
-    }
-    kernel(V::load(ga), V::load(gm), V::load(ra), V::load(da), V::load(ti)).store(res);
-    for (std::size_t k = i; k < n; ++k) out[k] = res[k - i];
-  }
-}
-
-}  // namespace
-
 void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
                        std::span<const double> g_min, std::span<const double> relax_amp,
                        std::span<const double> drift_amp, std::span<const double> t,
@@ -142,15 +83,15 @@ void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
   switch (num::simd::active_backend()) {
 #if OXMLC_SIMD_HAS_AVX2
     case num::simd::Backend::kAvx2:
-      drifted_gap_batch_pack<num::simd::PackAvx>(p, g_anchor.data(), g_min.data(),
-                                                 relax_amp.data(), drift_amp.data(),
-                                                 t.data(), out.data(), n);
+      detail::drifted_gap_batch_pack<num::simd::PackAvx>(
+          p, g_anchor.data(), g_min.data(), relax_amp.data(), drift_amp.data(), t.data(),
+          out.data(), n);
       return;
 #endif
     case num::simd::Backend::kScalar:
-      drifted_gap_batch_pack<num::simd::PackScalar>(p, g_anchor.data(), g_min.data(),
-                                                    relax_amp.data(), drift_amp.data(),
-                                                    t.data(), out.data(), n);
+      detail::drifted_gap_batch_pack<num::simd::PackScalar>(
+          p, g_anchor.data(), g_min.data(), relax_amp.data(), drift_amp.data(), t.data(),
+          out.data(), n);
       return;
     default:
       drifted_gap_batch_reference(p, g_anchor, g_min, relax_amp, drift_amp, t, out);

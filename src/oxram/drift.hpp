@@ -44,6 +44,7 @@
 // trajectories within 1e-9 relative, test-pinned; see DESIGN.md).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "util/rng.hpp"
@@ -109,6 +110,17 @@ void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g
                                  std::span<const double> relax_amp,
                                  std::span<const double> drift_amp,
                                  std::span<const double> t, std::span<double> out);
+
+namespace detail {
+// The pack kernel behind drifted_gap_batch, same contract on raw arrays.
+// Defined in pack_kernels.hpp and instantiated per pack type in the
+// ISA-isolated pack TUs (pack_scalar.cpp, pack_avx2.cpp).
+template <typename Pack>
+void drifted_gap_batch_pack(const DriftParams& p, const double* g_anchor,
+                            const double* g_min, const double* relax_amp,
+                            const double* drift_amp, const double* t, double* out,
+                            std::size_t n);
+}  // namespace detail
 
 // Per-program-event fast-relaxation amplitude: lognormal around
 // relax_fraction. One draw per call; 0 when drift is disabled.

@@ -15,34 +15,30 @@
 #include <vector>
 
 #include "numeric/simd.hpp"
+#include "simd_pack_eval.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::num::simd {
+
+#if OXMLC_SIMD_HAS_AVX2
+// Defined in the ISA-isolated simd_test_avx2.cpp.
+extern template void pack_eval::eval_exp<PackAvx>(const double*, double*, std::size_t);
+extern template void pack_eval::eval_log1p<PackAvx>(const double*, double*, std::size_t);
+#endif
+
 namespace {
 
 template <typename P>
 std::vector<double> eval_exp(const std::vector<double>& xs) {
   std::vector<double> out(xs.size());
-  for (std::size_t i = 0; i + kPackWidth <= xs.size(); i += kPackWidth) {
-    exp<P>(P::Vec::load(&xs[i])).store(&out[i]);
-  }
-  for (std::size_t i = xs.size() - xs.size() % kPackWidth; i < xs.size(); ++i) {
-    typename P::Vec v = P::Vec::broadcast(xs[i]);
-    out[i] = exp<P>(v).lane(0);
-  }
+  pack_eval::eval_exp<P>(xs.data(), out.data(), xs.size());
   return out;
 }
 
 template <typename P>
 std::vector<double> eval_log1p(const std::vector<double>& xs) {
   std::vector<double> out(xs.size());
-  for (std::size_t i = 0; i + kPackWidth <= xs.size(); i += kPackWidth) {
-    log1p<P>(P::Vec::load(&xs[i])).store(&out[i]);
-  }
-  for (std::size_t i = xs.size() - xs.size() % kPackWidth; i < xs.size(); ++i) {
-    typename P::Vec v = P::Vec::broadcast(xs[i]);
-    out[i] = log1p<P>(v).lane(0);
-  }
+  pack_eval::eval_log1p<P>(xs.data(), out.data(), xs.size());
   return out;
 }
 
