@@ -1,13 +1,14 @@
 // Word-vs-single-cell programming throughput (perf claim of the SoA kernel).
 //
 // Programs N cells — SET then terminated RESET across the 16-level IrefR bank
-// — as a serial loop of FastCell operations on the scalar reference engine
-// (one-lane batches, Backend::kReference), then as N-lane oxram::CellBatch
-// runs on the reference engine and on the dispatched pack engine (lockstep
-// lanes, termination masking + retirement). Reports cells/s for N in
-// {16, 256, 4096}: `speedup` is what the dispatched batch engine gains over
-// programming cell by cell on the reference engine, `vector_speedup` what
-// the pack engine adds over a reference-engine batch of the same width.
+// — as a serial loop of FastCell operations (one-lane batches), then as
+// N-lane oxram::CellBatch runs (lockstep lanes, termination masking +
+// retirement) on the portable pack and on the dispatched engine. The serial
+// loop runs on the dispatched engine too. Reports cells/s for N in
+// {16, 256, 4096}: `batch_vs_per_cell` is what batching N lanes gains over
+// programming cell by cell on the same engine, `dispatched_vs_portable` what
+// the dispatched pack (AVX2 where cpuid reports AVX2 + FMA) adds over the
+// portable pack at the same width (1.0 on a host without AVX2).
 //
 // Writes batch_throughput.csv (+ the standard telemetry sidecar) and a
 // BENCH_batch.json summary consumed by the bench-smoke CI assertions.
@@ -31,11 +32,11 @@ namespace {
 
 struct Sweep {
   std::size_t lanes = 0;
-  double scalar_cps = 0.0;     // serial per-cell loop, reference engine
-  double reference_cps = 0.0;  // batch engine forced to the scalar reference
-  double batch_cps = 0.0;      // dispatched engine (SIMD when available)
-  double speedup = 0.0;        // batch vs the serial reference-engine loop
-  double vector_speedup = 0.0;  // batch vs reference-engine batch
+  double per_cell_cps = 0.0;  // serial per-cell loop, dispatched engine
+  double portable_cps = 0.0;  // N-lane batch forced to the portable pack
+  double batch_cps = 0.0;     // N-lane batch, dispatched engine
+  double batch_vs_per_cell = 0.0;
+  double dispatched_vs_portable = 0.0;
 };
 
 }  // namespace
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Batch throughput", "SoA batch kernel vs serial per-cell reference engine",
+      "Batch throughput", "SoA batch kernel vs serial per-cell programming",
       "(implementation claim: whole-word/array programming through the "
       "lockstep pack kernel beats cell-by-cell programming, identical physics)");
 
@@ -92,63 +93,62 @@ int main(int argc, char** argv) {
     Sweep sweep;
     sweep.lanes = n;
 
-    const auto run_batch = [&](oxmlc::num::simd::Backend engine) {
+    const auto run_batch = [&](num::simd::Backend backend) {
       std::vector<oxram::FastCell> cells = make_cells(n);
-      oxram::BatchRunOptions options;
-      options.engine = engine;
+      const num::simd::Backend previous = num::simd::set_backend_override(backend);
       const auto start = bench::now();
       oxram::CellBatch batch;
       for (std::size_t i = 0; i < n; ++i) batch.add_set(cells[i], set_op);
-      batch.run(options);
+      batch.run();
       batch.clear();
       for (std::size_t i = 0; i < n; ++i) batch.add_reset(cells[i], reset_for(i));
-      batch.run(options);
-      return static_cast<double>(n) / bench::seconds_since(start);
+      batch.run();
+      const double cps = static_cast<double>(n) / bench::seconds_since(start);
+      num::simd::set_backend_override(previous);
+      return cps;
     };
 
     {
       std::vector<oxram::FastCell> cells = make_cells(n);
-      const oxmlc::num::simd::Backend previous =
-          oxmlc::num::simd::set_backend_override(oxmlc::num::simd::Backend::kReference);
       const auto start = bench::now();
       for (std::size_t i = 0; i < n; ++i) {
         cells[i].apply_set(set_op);
         cells[i].apply_reset(reset_for(i));
       }
-      sweep.scalar_cps = static_cast<double>(n) / bench::seconds_since(start);
-      oxmlc::num::simd::set_backend_override(previous);
+      sweep.per_cell_cps = static_cast<double>(n) / bench::seconds_since(start);
     }
-    sweep.reference_cps = run_batch(oxmlc::num::simd::Backend::kReference);
-    sweep.batch_cps = run_batch(oxmlc::num::simd::Backend::kAuto);
-    sweep.speedup = sweep.batch_cps / sweep.scalar_cps;
-    sweep.vector_speedup = sweep.batch_cps / sweep.reference_cps;
+    sweep.portable_cps = run_batch(num::simd::Backend::kScalar);
+    sweep.batch_cps = run_batch(num::simd::Backend::kAuto);
+    sweep.batch_vs_per_cell = sweep.batch_cps / sweep.per_cell_cps;
+    sweep.dispatched_vs_portable = sweep.batch_cps / sweep.portable_cps;
     sweeps.push_back(sweep);
   }
 
   const std::uint64_t lanes_retired =
       obs::registry().counter("batch.lanes_retired").value() - retired_before;
 
-  Table table({"cells", "per-cell ref (cells/s)", "batch ref (cells/s)",
-               "batch simd (cells/s)", "vs per-cell", "vs ref"});
+  Table table({"cells", "per-cell (cells/s)", "batch portable (cells/s)",
+               "batch dispatched (cells/s)", "vs per-cell", "vs portable"});
   for (const Sweep& sweep : sweeps) {
-    table.add_row({std::to_string(sweep.lanes), format_scaled(sweep.scalar_cps, 1.0, 0),
-                   format_scaled(sweep.reference_cps, 1.0, 0),
+    table.add_row({std::to_string(sweep.lanes), format_scaled(sweep.per_cell_cps, 1.0, 0),
+                   format_scaled(sweep.portable_cps, 1.0, 0),
                    format_scaled(sweep.batch_cps, 1.0, 0),
-                   format_scaled(sweep.speedup, 1.0, 2) + "x",
-                   format_scaled(sweep.vector_speedup, 1.0, 2) + "x"});
+                   format_scaled(sweep.batch_vs_per_cell, 1.0, 2) + "x",
+                   format_scaled(sweep.dispatched_vs_portable, 1.0, 2) + "x"});
   }
   table.print(std::cout);
   std::cout << "\n  dispatched engine: "
-            << oxmlc::num::simd::backend_name(oxmlc::num::simd::active_backend())
+            << num::simd::backend_name(num::simd::active_backend())
             << "\n  lanes retired through termination masking: " << lanes_retired
             << "\n";
 
-  Table csv({"cells", "scalar_cells_per_s", "batch_reference_cells_per_s",
-             "batch_cells_per_s", "speedup", "vector_speedup"});
+  Table csv({"cells", "per_cell_cells_per_s", "portable_batch_cells_per_s",
+             "batch_cells_per_s", "batch_vs_per_cell", "dispatched_vs_portable"});
   for (const Sweep& sweep : sweeps) {
-    csv.add_row({std::to_string(sweep.lanes), std::to_string(sweep.scalar_cps),
-                 std::to_string(sweep.reference_cps), std::to_string(sweep.batch_cps),
-                 std::to_string(sweep.speedup), std::to_string(sweep.vector_speedup)});
+    csv.add_row({std::to_string(sweep.lanes), std::to_string(sweep.per_cell_cps),
+                 std::to_string(sweep.portable_cps), std::to_string(sweep.batch_cps),
+                 std::to_string(sweep.batch_vs_per_cell),
+                 std::to_string(sweep.dispatched_vs_portable)});
   }
   bench::save_csv(csv, "batch_throughput.csv");
 
@@ -158,15 +158,15 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"batch_throughput\",\n"
        << bench::provenance_field() << ",\n  \"engine\": \""
-       << oxmlc::num::simd::backend_name(oxmlc::num::simd::active_backend())
+       << num::simd::backend_name(num::simd::active_backend())
        << "\",\n  \"lanes_retired\": " << lanes_retired << ",\n  \"sweeps\": [\n";
   for (std::size_t k = 0; k < sweeps.size(); ++k) {
     json << "    {\"lanes\": " << sweeps[k].lanes
-         << ", \"scalar_cells_per_s\": " << sweeps[k].scalar_cps
-         << ", \"batch_reference_cells_per_s\": " << sweeps[k].reference_cps
+         << ", \"per_cell_cells_per_s\": " << sweeps[k].per_cell_cps
+         << ", \"portable_batch_cells_per_s\": " << sweeps[k].portable_cps
          << ", \"batch_cells_per_s\": " << sweeps[k].batch_cps
-         << ", \"speedup\": " << sweeps[k].speedup
-         << ", \"vector_speedup\": " << sweeps[k].vector_speedup << "}"
+         << ", \"batch_vs_per_cell\": " << sweeps[k].batch_vs_per_cell
+         << ", \"dispatched_vs_portable\": " << sweeps[k].dispatched_vs_portable << "}"
          << (k + 1 < sweeps.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

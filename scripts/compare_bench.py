@@ -11,10 +11,10 @@ Absolute cells/s numbers are machine-dependent — a laptop baseline would trip
 on every CI runner. The gate therefore checks *ratio* metrics, which carry
 their own same-machine control group:
 
-* BENCH_batch.json: ``speedup`` (dispatched batch engine vs a serial
-  per-cell loop on the scalar reference engine, measured in the same
-  process) and ``vector_speedup`` (SIMD engine vs a reference-engine batch)
-  per lane-count sweep.
+* BENCH_batch.json: ``batch_vs_per_cell`` (an N-lane batch vs a serial
+  per-cell loop, both on the dispatched pack engine, measured in the same
+  process) and ``dispatched_vs_portable`` (the dispatched pack vs the
+  portable pack at the same width) per lane-count sweep.
 * BENCH_array_scale.json: ``cells_per_s`` normalized is not possible (no
   in-run control), so only its invariants are gated: every cell must have
   terminated.
@@ -23,9 +23,12 @@ A regression in either ratio means the optimized path lost ground against
 its in-process reference — that is a code regression, not machine noise.
 
 Provenance is checked first: if the baseline and the current run disagree on
-compiler or build type, the comparison is skipped with a warning instead of
-producing an apples-to-oranges failure. (Flags and git SHA are reported but
-not enforced: the SHA *should* differ, and flags legitimately drift.)
+compiler or build type — or, for BENCH_batch, on the dispatched ``engine``
+(an AVX2 baseline against a runner without AVX2+FMA, or a run forced to the
+portable pack with OXMLC_SIMD=scalar) — the comparison is skipped with a
+warning instead of producing an apples-to-oranges failure. (Flags and git SHA
+are reported but not enforced: the SHA *should* differ, and flags
+legitimately drift.)
 
 Overriding
 ----------
@@ -39,7 +42,8 @@ Self test
 ``--self-test`` verifies the gate actually trips: it loads the baselines,
 synthesizes a current run with a 30% regression injected into every gated
 ratio, and asserts the comparison fails (and that an un-regressed run
-passes). It also feeds the loader a malformed baseline and a schema-broken
+passes), and that a BENCH_batch run on another engine is skipped, not
+failed. It also feeds the loader a malformed baseline and a schema-broken
 bench and asserts both produce an actionable error instead of a traceback.
 Run once before trusting a freshly committed baseline.
 
@@ -99,8 +103,9 @@ def provenance_mismatch(baseline: dict, current: dict) -> str | None:
     """Returns a reason string when the two runs are not comparable.
 
     Compiler is compared by family only ("GNU 12.2.0" vs "GNU 13.1.0" is
-    fine — CI runners track distro GCC while baselines age); build type is
-    exact, since Debug-vs-Release ratios are meaningless.
+    fine — CI runners track distro GCC while baselines age); build type and
+    the dispatched engine (BENCH_batch's top-level ``engine``) are exact,
+    since Debug-vs-Release or AVX2-vs-portable ratios are meaningless.
     """
     bp = baseline.get("provenance", {})
     cp = current.get("provenance", {})
@@ -113,6 +118,15 @@ def provenance_mismatch(baseline: dict, current: dict) -> str | None:
             bp["build_type"] != cp["build_type"]:
         return (f"build_type: baseline '{bp['build_type']}' vs "
                 f"current '{cp['build_type']}'")
+    # BENCH_batch ratios depend on the pack the run dispatched to: the AVX2
+    # pack's dispatched_vs_portable is ~4x where the portable pack's is 1.
+    # (BENCH_array_scale records its engine too, but gates only an
+    # engine-independent invariant.)
+    if baseline.get("bench") == "batch_throughput" and \
+            baseline.get("engine") and current.get("engine") and \
+            baseline["engine"] != current["engine"]:
+        return (f"engine: baseline '{baseline['engine']}' vs "
+                f"current '{current['engine']}'")
     return None
 
 
@@ -122,9 +136,9 @@ def gated_metrics(bench: dict) -> dict[str, float]:
     if bench.get("bench") == "batch_throughput":
         for sweep in bench.get("sweeps", []):
             lanes = sweep["lanes"]
-            metrics[f"speedup@{lanes}"] = float(sweep["speedup"])
-            if "vector_speedup" in sweep:
-                metrics[f"vector_speedup@{lanes}"] = float(sweep["vector_speedup"])
+            metrics[f"batch_vs_per_cell@{lanes}"] = float(sweep["batch_vs_per_cell"])
+            metrics[f"dispatched_vs_portable@{lanes}"] = float(
+                sweep["dispatched_vs_portable"])
     elif bench.get("bench") == "array_scale":
         # Invariant, not a ratio: a partial image is always a failure.
         cells = float(bench.get("cells", 0))
@@ -276,9 +290,8 @@ def self_test(baselines_dir: Path, threshold: float) -> int:
         regressed = copy.deepcopy(baseline)
         if regressed.get("bench") == "batch_throughput":
             for sweep in regressed.get("sweeps", []):
-                sweep["speedup"] *= 0.7
-                if "vector_speedup" in sweep:
-                    sweep["vector_speedup"] *= 0.7
+                sweep["batch_vs_per_cell"] *= 0.7
+                sweep["dispatched_vs_portable"] *= 0.7
         elif regressed.get("bench") == "array_scale":
             regressed["terminated"] = int(regressed.get("terminated", 0) * 0.7)
         elif regressed.get("bench") == "trace_replay":
@@ -302,6 +315,18 @@ def self_test(baselines_dir: Path, threshold: float) -> int:
         print(f"[self-test] ok: {bench_id} gate trips on 30% regression "
               f"({len(bad_failures)} metric(s)) and passes clean run")
         tested += 1
+
+        # The same regression measured on another engine is not comparable:
+        # it must be skipped, not failed.
+        if bench_id == "batch_throughput":
+            regressed["engine"] = "scalar" if baseline["engine"] != "scalar" else "avx2"
+            other_failures, other_rows = compare_bench(bench_id, baseline, regressed,
+                                                       threshold)
+            if other_failures or not any("engine" in row for row in other_rows):
+                print(f"[self-test] FAIL: {bench_id} run on engine "
+                      f"'{regressed['engine']}' was not skipped: {other_failures}")
+                return 1
+            print(f"[self-test] ok: {bench_id} skips a run on another engine")
     if tested == 0:
         print("[self-test] FAIL: no baselines to test against")
         return 1

@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <string>
+
+#include "util/logging.hpp"
 
 namespace oxmlc::num::simd {
 namespace {
@@ -17,23 +18,30 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
-// OXMLC_SIMD environment override, parsed once: "auto" (default), "avx2",
-// "scalar" (portable pack), "off"/"reference" (scalar reference engines, no
-// pack kernels).
+// OXMLC_SIMD environment override, parsed once.
 Backend env_backend() {
   static const Backend parsed = [] {
     const char* env = std::getenv("OXMLC_SIMD");
     if (env == nullptr) return Backend::kAuto;
-    const std::string value(env);
-    if (value == "avx2") return Backend::kAvx2;
-    if (value == "scalar") return Backend::kScalar;
-    if (value == "off" || value == "reference") return Backend::kReference;
-    return Backend::kAuto;
+    const std::optional<Backend> backend = parse_backend(env);
+    if (!backend) {
+      OXMLC_WARN << "OXMLC_SIMD='" << env
+                 << "' is not recognised (accepted: auto, scalar, avx2); using auto";
+      return Backend::kAuto;
+    }
+    return *backend;
   }();
   return parsed;
 }
 
 }  // namespace
+
+std::optional<Backend> parse_backend(std::string_view value) {
+  if (value == "auto") return Backend::kAuto;
+  if (value == "scalar") return Backend::kScalar;
+  if (value == "avx2") return Backend::kAvx2;
+  return std::nullopt;
+}
 
 bool avx2_available() {
   static const bool available = OXMLC_SIMD_HAS_AVX2 != 0 && cpu_has_avx2_fma();
@@ -62,8 +70,6 @@ const char* backend_name(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kReference:
-      return "reference";
   }
   return "unknown";
 }

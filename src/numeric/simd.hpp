@@ -23,7 +23,7 @@
 // implementations for the same reason: libm's vectorized and scalar exp need
 // not agree bitwise, ours do by construction. Accuracy is ~1 ulp (tested
 // against libm at 1e-13 relative), far inside the 1e-9 pin the scalar
-// reference paths are held to.
+// reference formulations of the tests hold the pack engine to.
 //
 // ISA isolation: an AVX2 TU may define no external-linkage code but
 // PackAvx-named symbols. A weak inline function it emitted (std::min, a
@@ -37,15 +37,17 @@
 // AVX2 when the build carries the AVX2 instantiation (OXMLC_SIMD_HAS_AVX2,
 // defined by CMake) *and* cpuid reports AVX2 + FMA, else the portable pack.
 // The OXMLC_SIMD environment variable and the set_backend_override() test
-// hook force a specific backend; "off" additionally tells call sites (drift
-// batch, CellBatch) to use their scalar reference engines instead of the pack
-// kernels.
+// hook force a specific pack backend. Every production call runs a pack; the
+// scalar reference engines exist only as test oracles
+// (tests/reference_engine.hpp).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -66,21 +68,24 @@ inline constexpr int kPackWidth = 4;
 // ---------------------------------------------------------------------------
 
 enum class Backend {
-  kAuto = 0,     // resolve from compile flags + cpuid + OXMLC_SIMD env var
-  kScalar = 1,   // portable element-wise pack
-  kAvx2 = 2,     // AVX2 + FMA pack (requires the AVX2 instantiation)
-  kReference = 3 // no pack kernels at all: call sites use their scalar
-                 // reference engines (OXMLC_SIMD=off)
+  kAuto = 0,    // resolve from compile flags + cpuid + OXMLC_SIMD env var
+  kScalar = 1,  // portable element-wise pack
+  kAvx2 = 2,    // AVX2 + FMA pack (requires the AVX2 instantiation)
 };
 
 // True when the build carries the AVX2 instantiations AND the host CPU
 // reports AVX2 + FMA.
 bool avx2_available();
 
-// Resolves kAuto to a concrete backend (kScalar / kAvx2 / kReference),
-// honouring the OXMLC_SIMD env var ("auto", "avx2", "scalar", "off") and any
-// set_backend_override() in effect. Never returns kAuto.
+// Resolves kAuto to a concrete backend (kScalar / kAvx2), honouring the
+// OXMLC_SIMD env var and any set_backend_override() in effect. Never returns
+// kAuto, and returns kAvx2 only when avx2_available().
 Backend active_backend();
+
+// Parses an OXMLC_SIMD value: "auto", "scalar" or "avx2". Returns
+// nullopt for anything else; the environment lookup then warns once, naming
+// the accepted values, and falls back to kAuto.
+std::optional<Backend> parse_backend(std::string_view value);
 
 // Test hook: forces the backend until reset with kAuto. Returns the previous
 // override.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <numeric>
 
+#include "numeric/simd.hpp"
 #include "obs/registry.hpp"
 #include "util/parallel_for.hpp"
 
@@ -159,44 +160,7 @@ double CellBatch::apply_corners(const LaneControl& c, double dt) const {
   return std::max(dt, 1e-13);
 }
 
-bool CellBatch::step_lane(std::size_t lane) {
-  LaneControl& c = control_[lane];
-
-  if (!(c.t < c.t_end - 1e-15)) {
-    finalize_lane(lane);
-    return false;
-  }
-
-  const OxramParams& p = params_[lane];
-  const double v_d = drive_value(c, c.t);
-  const StackOperatingPoint sp =
-      solve_stack_warm(p, gap_[lane], stacks_[lane], c.polarity, v_d, c.v_wl,
-                       warm_i_[lane]);
-  warm_i_[lane] = sp.current;
-  const double sign = c.polarity == Polarity::kReset ? -1.0 : 1.0;
-  const double v_cell_signed = sign * sp.v_cell;
-
-  update_sample(lane, v_d, sp.current, sp.v_cell);
-
-  // --- choose the next step ---
-  const StepPolicy policy = step_policy(c, results_[lane], sp.current);
-  double dt = std::min(policy.dt_cap,
-                       recommended_dt(p, v_cell_signed, gap_[lane], c.virgin,
-                                      rate_factor_[lane], policy.gap_fraction));
-  dt = apply_corners(c, dt);
-
-  gap_[lane] =
-      advance_gap(p, v_cell_signed, gap_[lane], c.virgin, dt, rate_factor_[lane]);
-  if (c.virgin && gap_[lane] < p.g_max * 0.98) c.virgin = false;
-  c.t += dt;
-  return true;
-}
-
-std::uint64_t CellBatch::run_span(std::size_t begin, std::size_t end,
-                                  num::simd::Backend engine) {
-  if (engine != num::simd::Backend::kReference) {
-    return run_span_simd(begin, end, engine);
-  }
+std::uint64_t CellBatch::run_span(std::size_t begin, std::size_t end, PackStep step) {
   BatchMetrics& metrics = BatchMetrics::get();
 
   // Active-lane compaction: each round visits only the lanes still
@@ -204,20 +168,28 @@ std::uint64_t CellBatch::run_span(std::size_t begin, std::size_t end,
   // again, so late rounds iterate only the stragglers (the deep levels).
   std::vector<std::size_t> active(end - begin);
   std::iota(active.begin(), active.end(), begin);
+  std::vector<std::size_t> stepping;
+  stepping.reserve(active.size());
   std::uint64_t steps = 0;
   std::uint64_t retired = 0;
   while (!active.empty()) {
-    std::size_t kept = 0;
+    stepping.clear();
     for (const std::size_t lane : active) {
-      if (step_lane(lane)) {
-        active[kept++] = lane;
-        ++steps;
+      if (control_[lane].t < control_[lane].t_end - 1e-15) {
+        stepping.push_back(lane);
       } else {
+        finalize_lane(lane);
         ++retired;
       }
     }
-    active.resize(kept);
-    metrics.lanes_active.set(static_cast<double>(kept));
+    for (std::size_t p = 0; p < stepping.size(); p += num::simd::kPackWidth) {
+      const std::size_t m =
+          std::min<std::size_t>(num::simd::kPackWidth, stepping.size() - p);
+      (this->*step)(stepping.data() + p, m);
+      steps += m;
+    }
+    metrics.lanes_active.set(static_cast<double>(stepping.size()));
+    active.swap(stepping);
   }
   metrics.lanes_retired.add(retired);
   return steps;
@@ -233,10 +205,8 @@ std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   results_.assign(size(), OperationResult{});
   for (std::size_t lane = 0; lane < size(); ++lane) results_[lane].final_gap = gap_[lane];
 
-  const num::simd::Backend engine = options.engine == num::simd::Backend::kAuto
-                                        ? num::simd::active_backend()
-                                        : options.engine;
-  if (engine != num::simd::Backend::kReference) prepare_scratch();
+  const PackStep step = active_pack_step();
+  prepare_scratch();
 
   // Lanes touch disjoint state, so sharding them over the pool is
   // bit-identical to the serial sweep for any thread count or chunking.
@@ -244,7 +214,7 @@ std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   util::ParallelForOptions pool;
   pool.threads = options.threads;
   util::parallel_for(size(), pool, [&](std::size_t begin, std::size_t end) {
-    steps.fetch_add(run_span(begin, end, engine), std::memory_order_relaxed);
+    steps.fetch_add(run_span(begin, end, step), std::memory_order_relaxed);
   });
   metrics.steps.add(steps.load(std::memory_order_relaxed));
 

@@ -19,32 +19,29 @@
 //
 // Every lane follows one control flow — trapezoidal waveform, linear
 // interpolation of the termination crossing, near-crossing step refinement,
-// waveform-corner snapping, the model's gap integrator. Two stack-solver
-// formulations run it: the SIMD pack engine (batch_simd.cpp, the default)
-// and the scalar reference step_lane (Backend::kReference: warm-started
-// safeguarded Newton on the current). Both converge to the shared
-// kStackSolveRelTol (see fast_cell.hpp); the equivalence suites
-// (tests/batch_kernel_test.cpp, tests/simd_equivalence_test.cpp) pin their
-// agreement at 1e-9.
+// waveform-corner snapping, the model's gap integrator — and advances through
+// the pack engine (batch_simd.cpp, pack_kernels.hpp): a v_cell-primal masked
+// Newton stack solve four lanes at a time, on the AVX2 pack when cpuid
+// reports AVX2 + FMA and on the portable pack otherwise (bitwise identical).
+// The scalar current-Newton stepper it replaced is kept in the tests
+// (tests/reference_engine.hpp) as the oracle the pack engine is pinned
+// against at 1e-9 (tests/batch_kernel_test.cpp,
+// tests/simd_equivalence_test.cpp).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "numeric/simd.hpp"
 #include "oxram/fast_cell.hpp"
 #include "spice/waveform.hpp"
 
 namespace oxmlc::oxram {
 
-// Execution knobs for CellBatch::run(). Neither knob may change results:
-// lanes are independent, so sharding them across threads is bit-identical to
-// the serial sweep, and the SIMD engine is pinned against the scalar
-// reference by the batch equivalence suite.
+// Execution knobs for CellBatch::run(). None may change results: lanes are
+// independent, so sharding them across threads is bit-identical to the
+// serial sweep.
 struct BatchRunOptions {
-  // kAuto resolves via num::simd::active_backend() (OXMLC_SIMD env /
-  // override); kReference forces the scalar step_lane path.
-  num::simd::Backend engine = num::simd::Backend::kAuto;
   // Lane shards claimed through util::parallel_for; 0 = CPUs available.
   std::size_t threads = 1;
 };
@@ -103,13 +100,9 @@ class CellBatch {
 
   double drive_value(const LaneControl& lane, double t) const;
 
-  // Advances one lane by one time step; false when the lane's pulse is
-  // complete (the lane is finalized and its cell state written back).
-  bool step_lane(std::size_t lane);
-
-  // Pieces of the per-step control flow shared verbatim between the scalar
-  // step_lane path and the SIMD engine (batch_simd.cpp): result finalization,
-  // the energy/termination sample bookkeeping, the near-termination step
+  // Pieces of the per-step control flow shared verbatim between the pack
+  // engine (batch_simd.cpp) and the test oracle: result finalization, the
+  // energy/termination sample bookkeeping, the near-termination step
   // refinement, and the waveform-corner snapping.
   void finalize_lane(std::size_t lane);
   void update_sample(std::size_t lane, double v_d, double current, double v_cell);
@@ -121,18 +114,18 @@ class CellBatch {
                          double current) const;
   double apply_corners(const LaneControl& c, double dt) const;
 
-  // Runs one shard of lanes [begin, end) to completion with its own
-  // active-lane compaction loop; returns the total steps taken. Shards touch
-  // disjoint lane state, so any sharding yields bit-identical results.
-  std::uint64_t run_span(std::size_t begin, std::size_t end,
-                         num::simd::Backend engine);
+  // Advances lanes[0, count) one step; count <= kPackWidth. One
+  // instantiation per pack type; active_pack_step() (batch_simd.cpp) picks
+  // the one num::simd::active_backend() names, once per run().
+  using PackStep = void (CellBatch::*)(const std::size_t* lanes, std::size_t count);
+  static PackStep active_pack_step();
 
-  // SIMD engine (batch_simd.cpp): lanes advance four at a time through a
-  // v_cell-primal masked Newton stack solve and pack gap integration. All
-  // lane updates are masked element-wise, so results are bitwise independent
-  // of how lanes happen to group into packs — and therefore of sharding.
-  std::uint64_t run_span_simd(std::size_t begin, std::size_t end,
-                              num::simd::Backend engine);
+  // Runs one shard of lanes [begin, end) to completion with its own
+  // active-lane compaction loop, the surviving lanes of each round advanced
+  // `step` four at a time; returns the total steps taken. Every lane update
+  // is masked element-wise, so results are bitwise independent of how lanes
+  // group into packs — and therefore of sharding.
+  std::uint64_t run_span(std::size_t begin, std::size_t end, PackStep step);
 
   // One lane's pack-engine record: the sampled cell and stack parameters
   // (filled once per run() by prepare_scratch) and the values one pack step
@@ -148,8 +141,8 @@ class CellBatch {
     double v_signed, virgin;                // settled operating point (settle_pack)
     double rate, dt, gap_next;              // step size and integrated gap
   };
-  // Advances lanes[0, count) one step; count <= kPackWidth. Instantiated per
-  // pack type in the ISA-isolated pack TUs (pack_scalar.cpp, pack_avx2.cpp).
+  // A PackStep, instantiated per pack type in the ISA-isolated pack TUs
+  // (pack_scalar.cpp, pack_avx2.cpp).
   template <typename Pack>
   void step_pack(const std::size_t* lanes, std::size_t count);
   // The scalar phases of step_pack, out of line in batch_simd.cpp. Each fills
@@ -176,6 +169,9 @@ class CellBatch {
   std::vector<LaneControl> control_;
   std::vector<FastCell*> cells_;
   std::vector<OperationResult> results_;
+
+  // The scalar reference stepper of the tests (tests/reference_engine.hpp).
+  friend struct ReferenceEngine;
 };
 
 }  // namespace oxmlc::oxram

@@ -1,11 +1,9 @@
-// SIMD engine of CellBatch, generic half: the per-run parameter records, the
-// scalar phases of each pack step and the backend dispatch. The pack kernel
-// itself (CellBatch::step_pack) lives in pack_kernels.hpp and is
-// instantiated per pack type in pack_scalar.cpp and the ISA-isolated
-// pack_avx2.cpp; this TU only names the instantiations.
+// SIMD engine of CellBatch, generic half: the backend dispatch, the per-run
+// parameter records and the scalar phases of each pack step. The pack kernel
+// itself (CellBatch::step_pack) lives in pack_kernels.hpp and is instantiated
+// per pack type in pack_scalar.cpp and the ISA-isolated pack_avx2.cpp; this
+// TU only names the instantiations.
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include "numeric/simd.hpp"
 #include "obs/registry.hpp"
@@ -17,8 +15,6 @@ namespace oxmlc::oxram {
 namespace {
 
 struct SimdMetrics {
-  obs::Counter& lanes_retired = obs::registry().counter("batch.lanes_retired");
-  obs::Gauge& lanes_active = obs::registry().gauge("batch.lanes_active");
   obs::Counter& fallback_solves = obs::registry().counter("batch.simd_fallback_solves");
 
   static SimdMetrics& get() {
@@ -36,6 +32,17 @@ void pad_tail(std::size_t count, Record* pack) {
 }
 
 }  // namespace
+
+CellBatch::PackStep CellBatch::active_pack_step() {
+  // active_backend() reports kAvx2 only where cpuid confirmed AVX2 + FMA;
+  // anything else runs the portable pack, which is bitwise identical.
+#if OXMLC_SIMD_HAS_AVX2
+  if (num::simd::active_backend() == num::simd::Backend::kAvx2) {
+    return &CellBatch::step_pack<num::simd::PackAvx>;
+  }
+#endif
+  return &CellBatch::step_pack<num::simd::PackScalar>;
+}
 
 void CellBatch::prepare_scratch() {
   scratch_.resize(size());
@@ -143,53 +150,6 @@ void CellBatch::commit_pack(const std::size_t* lanes, std::size_t count,
     if (c.virgin && gap_[lane] < params_[lane].g_max * 0.98) c.virgin = false;
     c.t += pack[k].dt;
   }
-}
-
-std::uint64_t CellBatch::run_span_simd(std::size_t begin, std::size_t end,
-                                       num::simd::Backend engine) {
-  // An explicit BatchRunOptions::engine bypasses active_backend(), so kAvx2
-  // is checked against the CPU here: the AVX2 instantiation runs only where
-  // cpuid reported AVX2 + FMA. Anything else takes the portable pack, which
-  // is bitwise identical anyway.
-  auto step = &CellBatch::step_pack<num::simd::PackScalar>;
-#if OXMLC_SIMD_HAS_AVX2
-  if (engine == num::simd::Backend::kAvx2 && num::simd::avx2_available()) {
-    step = &CellBatch::step_pack<num::simd::PackAvx>;
-  }
-#else
-  static_cast<void>(engine);
-#endif
-  SimdMetrics& metrics = SimdMetrics::get();
-
-  // Same active-lane compaction as the scalar run_span, with the surviving
-  // lanes of each round advanced four at a time.
-  std::vector<std::size_t> active(end - begin);
-  std::iota(active.begin(), active.end(), begin);
-  std::vector<std::size_t> stepping;
-  stepping.reserve(active.size());
-  std::uint64_t steps = 0;
-  std::uint64_t retired = 0;
-  while (!active.empty()) {
-    stepping.clear();
-    for (const std::size_t lane : active) {
-      if (control_[lane].t < control_[lane].t_end - 1e-15) {
-        stepping.push_back(lane);
-      } else {
-        finalize_lane(lane);
-        ++retired;
-      }
-    }
-    for (std::size_t p = 0; p < stepping.size(); p += num::simd::kPackWidth) {
-      const std::size_t m =
-          std::min<std::size_t>(num::simd::kPackWidth, stepping.size() - p);
-      (this->*step)(stepping.data() + p, m);
-      steps += m;
-    }
-    metrics.lanes_active.set(static_cast<double>(stepping.size()));
-    active.swap(stepping);
-  }
-  metrics.lanes_retired.add(retired);
-  return steps;
 }
 
 }  // namespace oxmlc::oxram

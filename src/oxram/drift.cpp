@@ -36,38 +36,6 @@ double drifted_gap(const DriftParams& p, double g_anchor, double g_min,
   return g_anchor - depth * std::min(loss, 1.0);
 }
 
-void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g_anchor,
-                                 std::span<const double> g_min,
-                                 std::span<const double> relax_amp,
-                                 std::span<const double> drift_amp,
-                                 std::span<const double> t, std::span<double> out) {
-  const std::size_t n = g_anchor.size();
-  OXMLC_CHECK(g_min.size() == n && relax_amp.size() == n && drift_amp.size() == n &&
-                  t.size() == n && out.size() == n,
-              "drifted_gap_batch: span length mismatch");
-  if (!p.enabled) {
-    std::copy(g_anchor.begin(), g_anchor.end(), out.begin());
-    return;
-  }
-  const double accel = drift_acceleration(p);
-  const double inv_tau_fast = 1.0 / p.tau_fast;
-  const double inv_tau_slow = accel / p.tau_slow;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ti = t[i];
-    if (ti <= 0.0) {
-      out[i] = g_anchor[i];
-      continue;
-    }
-    // phi = 1 - (1 + t/tau)^-nu evaluated as exp(-nu*log1p(t/tau)); agrees
-    // with the scalar pow() path to ~1 ulp (pinned at 1e-9 rel by tests).
-    const double phi_fast = 1.0 - std::exp(-p.nu_fast * std::log1p(ti * inv_tau_fast));
-    const double phi_slow = 1.0 - std::exp(-p.nu_slow * std::log1p(ti * inv_tau_slow));
-    const double depth = std::max(g_anchor[i] - g_min[i], 0.0);
-    const double loss = relax_amp[i] * phi_fast + drift_amp[i] * phi_slow;
-    out[i] = g_anchor[i] - depth * std::min(loss, 1.0);
-  }
-}
-
 void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
                        std::span<const double> g_min, std::span<const double> relax_amp,
                        std::span<const double> drift_amp, std::span<const double> t,
@@ -80,23 +48,14 @@ void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
     std::copy(g_anchor.begin(), g_anchor.end(), out.begin());
     return;
   }
-  switch (num::simd::active_backend()) {
+  auto kernel = &detail::drifted_gap_batch_pack<num::simd::PackScalar>;
 #if OXMLC_SIMD_HAS_AVX2
-    case num::simd::Backend::kAvx2:
-      detail::drifted_gap_batch_pack<num::simd::PackAvx>(
-          p, g_anchor.data(), g_min.data(), relax_amp.data(), drift_amp.data(), t.data(),
-          out.data(), n);
-      return;
-#endif
-    case num::simd::Backend::kScalar:
-      detail::drifted_gap_batch_pack<num::simd::PackScalar>(
-          p, g_anchor.data(), g_min.data(), relax_amp.data(), drift_amp.data(), t.data(),
-          out.data(), n);
-      return;
-    default:
-      drifted_gap_batch_reference(p, g_anchor, g_min, relax_amp, drift_amp, t, out);
-      return;
+  if (num::simd::active_backend() == num::simd::Backend::kAvx2) {
+    kernel = &detail::drifted_gap_batch_pack<num::simd::PackAvx>;
   }
+#endif
+  kernel(p, g_anchor.data(), g_min.data(), relax_amp.data(), drift_amp.data(), t.data(),
+         out.data(), n);
 }
 
 double sample_relaxation_amplitude(const DriftParams& p, Rng& rng) {

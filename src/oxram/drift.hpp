@@ -90,26 +90,19 @@ double drifted_gap(const DriftParams& p, double g_anchor, double g_min,
 // Batched SoA kernel over parallel lanes:
 //   out[i] = drifted_gap(p, g_anchor[i], g_min[i], relax_amp[i], drift_amp[i], t[i])
 // All spans must have equal length; `out` may alias none of the inputs. The
-// loop hoists the per-call invariants (acceleration, reciprocal taus) and
-// evaluates the power-law kernels as exp(-nu * log1p(t/tau)), which agrees
-// with the scalar std::pow path to ~1 ulp — the batch-vs-scalar suite pins
-// the agreement at 1e-9 relative on a 4096-cell array.
+// kernel hoists the per-call invariants (acceleration, reciprocal taus) and
+// evaluates the power-law kernels as exp(-nu * log1p(t/tau)) with the pack
+// exp/log1p, which agrees with the scalar std::pow path to ~1 ulp — the
+// batch-vs-scalar suite pins the agreement at 1e-9 relative on a 4096-cell
+// array, and the scalar-libm loop of tests/reference_engine.hpp at 1e-12.
 //
-// Dispatches on num::simd::active_backend(): the AVX2 and portable pack
-// kernels are bitwise-identical to each other (same IEEE op sequence), and
-// OXMLC_SIMD=off routes to drifted_gap_batch_reference.
+// Dispatches on num::simd::active_backend() between the AVX2 and portable
+// pack kernels, which are bitwise-identical to each other (same IEEE op
+// sequence).
 void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
                        std::span<const double> g_min, std::span<const double> relax_amp,
                        std::span<const double> drift_amp, std::span<const double> t,
                        std::span<double> out);
-
-// The original scalar-libm SoA loop, kept as the 1e-9-pinned reference the
-// pack kernels are tested against (and the OXMLC_SIMD=off execution path).
-void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g_anchor,
-                                 std::span<const double> g_min,
-                                 std::span<const double> relax_amp,
-                                 std::span<const double> drift_amp,
-                                 std::span<const double> t, std::span<double> out);
 
 namespace detail {
 // The pack kernel behind drifted_gap_batch, same contract on raw arrays.

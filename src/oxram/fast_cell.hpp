@@ -69,12 +69,12 @@ inline constexpr int kStackSolveMaxIter = 52;
 StackOperatingPoint solve_stack(const OxramParams& cell, double g, const StackConfig& stack,
                                 Polarity polarity, double v_drive, double v_wl);
 
-// Warm-started variant used by the batch kernel: safeguarded Newton on the
-// same residual, seeded with `i_warm` (typically the previous time step's
-// current, which the gap ODE moves by <~10 % per step). Converges to the same
-// root within the shared tolerances in a handful of evaluations instead of
-// ~52 bisection halvings. `i_warm <= 0` means no warm information (the solver
-// then starts from the bracket midpoint).
+// Warm-started variant, the batch kernel's per-lane fallback: safeguarded
+// Newton on the same residual, seeded with `i_warm` (typically the previous
+// time step's current, which the gap ODE moves by <~10 % per step). Converges
+// to the same root within the shared tolerances in a handful of evaluations
+// instead of ~52 bisection halvings. `i_warm <= 0` means no warm information
+// (the solver then starts from the bracket midpoint).
 StackOperatingPoint solve_stack_warm(const OxramParams& cell, double g,
                                      const StackConfig& stack, Polarity polarity,
                                      double v_drive, double v_wl, double i_warm);
@@ -132,8 +132,8 @@ class FastCell {
   // Convenience: a formed cell in the SET (LRS) state.
   static FastCell formed_lrs(const OxramParams& params, const StackConfig& stack);
 
-  // Each operation runs this cell as a one-lane CellBatch on one thread; the
-  // engine follows num::simd::active_backend() like every other batch.
+  // Each operation runs this cell as a one-lane CellBatch on one thread,
+  // through the same pack engine as every other batch.
   OperationResult apply_reset(const ResetOperation& op);
   OperationResult apply_set(const SetOperation& op);
   OperationResult apply_forming(const FormingOperation& op);

@@ -1,7 +1,8 @@
 // Internal: the quasi-static stack residual shared by the bisection solver
-// (solve_stack, used by reads) and the warm-start solver of the batch
-// reference engine (solve_stack_warm, safeguarded Newton; see
-// batch_kernel.hpp).
+// (solve_stack, used by reads) and the warm-start solver (solve_stack_warm,
+// safeguarded Newton): the pack engine's per-lane fallback for the steps its
+// vector solver cannot own, and the stack solve of the scalar reference
+// stepper the tests pin the pack engine against (tests/reference_engine.hpp).
 //
 // Both solvers find the root of the same strictly decreasing function
 //

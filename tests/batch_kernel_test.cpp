@@ -3,18 +3,17 @@
 // FastCell operations run as one-lane CellBatches, so every pulse goes
 // through one control flow. Two stack-solver formulations run it: the
 // dispatched pack engine (v_cell-primal masked Newton) and the scalar
-// reference engine (Backend::kReference: warm-started current Newton). Both
-// converge to the shared kStackSolveRelTol, so every observable of a
+// reference stepper of reference_engine.hpp (warm-started current Newton).
+// Both converge to the shared kStackSolveRelTol, so every observable of a
 // programmed cell (final gap, read current, termination time, energy) must
-// agree between the two engines to well under the 1e-9 relative tolerance
-// asserted here. Within one engine a cell's result does not depend on which
-// batch it runs in, which the one-lane-vs-word case pins bitwise.
+// agree between the two to well under the 1e-9 relative tolerance asserted
+// here. On the pack engine a cell's result does not depend on which batch it
+// runs in, which the one-lane-vs-word case pins bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "engine_scope.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
 #include "obs/registry.hpp"
@@ -22,6 +21,7 @@
 #include "oxram/fast_cell.hpp"
 #include "oxram/model.hpp"
 #include "oxram/stack_solver.hpp"
+#include "reference_engine.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -127,7 +127,7 @@ TEST(StackSolver, WarmStartHandlesNonConductingStack) {
 }
 
 // ---------------------------------------------------------------------------
-// pack engine vs scalar reference engine
+// pack engine vs the scalar reference stepper
 // ---------------------------------------------------------------------------
 
 TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
@@ -145,21 +145,18 @@ TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
   }
 
   // Scalar reference: SET then terminated RESET per cell, one at a time, on
-  // the reference engine.
+  // the reference stepper.
   std::vector<FastCell> scalar_cells;
   std::vector<OperationResult> scalar_resets;
-  {
-    const testing_support::ScopedBackend reference(num::simd::Backend::kReference);
-    for (std::size_t k = 0; k < n_levels; ++k) {
-      FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
-      cell.set_rate_factor(set_rates[k]);
-      cell.apply_set(config.set_op);
-      ResetOperation reset = config.reset_op;
-      reset.iref = config.allocation.levels[k].iref;
-      cell.set_rate_factor(reset_rates[k]);
-      scalar_resets.push_back(cell.apply_reset(reset));
-      scalar_cells.push_back(cell);
-    }
+  for (std::size_t k = 0; k < n_levels; ++k) {
+    FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
+    cell.set_rate_factor(set_rates[k]);
+    reference_apply(cell, config.set_op);
+    ResetOperation reset = config.reset_op;
+    reset.iref = config.allocation.levels[k].iref;
+    cell.set_rate_factor(reset_rates[k]);
+    scalar_resets.push_back(reference_apply(cell, reset));
+    scalar_cells.push_back(cell);
   }
 
   // Batch path on the dispatched engine: all 16 SETs as one batch, then all
@@ -211,10 +208,7 @@ TEST(CellBatch, FormingEquivalenceAgainstScalar) {
   }
   for (FastCell& cell : batch_cells) batch.add_forming(cell, forming);
   batch.run();
-  {
-    const testing_support::ScopedBackend reference(num::simd::Backend::kReference);
-    for (FastCell& cell : scalar_cells) cell.apply_forming(forming);
-  }
+  for (FastCell& cell : scalar_cells) reference_apply(cell, forming);
   for (std::size_t k = 0; k < devices.size(); ++k) {
     EXPECT_FALSE(batch_cells[k].virgin());
     EXPECT_EQ(batch_cells[k].virgin(), scalar_cells[k].virgin());

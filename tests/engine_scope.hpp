@@ -1,12 +1,11 @@
-// Test helper: pins the batch engine for the lifetime of a scope.
+// Test helper: pins the pack backend for the lifetime of a scope.
 //
-// The equivalence suites run one side of a comparison on the scalar
-// reference engine (num::simd::Backend::kReference: CellBatch::step_lane with
-// the warm-started current-Newton solve) and the other on the dispatched pack
-// engine, so every FastCell / CellBatch / QlcProgrammer call made inside the
-// scope exercises a different stack-solver formulation than the same call
-// outside it. The previous override is restored on exit, also when a fatal
-// assertion returns early from the test body.
+// Every FastCell / CellBatch / drifted_gap_batch call made inside the scope
+// runs the forced pack (kScalar: the portable pack, kAvx2: the AVX2 pack
+// where the CPU has it), which is how the dispatch-safety tests compare the
+// two bitwise. The scalar reference formulations are not a backend; they are
+// the test oracles of reference_engine.hpp. The previous override is restored
+// on exit, also when a fatal assertion returns early from the test body.
 #pragma once
 
 #include "numeric/simd.hpp"

@@ -1,9 +1,11 @@
 // SIMD-vs-scalar equivalence suite for the dispatched batch kernels.
 //
 // Two distinct guarantees, asserted separately:
-//   * pack vs REFERENCE: the pack kernels (own polynomial exp/log1p) match the
-//     scalar-libm reference loop to well under 1e-9 relative — the same pin
-//     every batch-vs-scalar pairing in the repo is held to;
+//   * pack vs REFERENCE: the pack kernels (own polynomial exp/log1p, masked
+//     v_cell Newton) match the scalar reference formulations of
+//     reference_engine.hpp — the scalar-libm drift loop and the
+//     current-Newton cell stepper — to well under 1e-9 relative, the same
+//     pin every batch-vs-scalar pairing in the repo is held to;
 //   * pack vs pack: the portable and AVX2 instantiations are BITWISE
 //     identical, so runtime dispatch can never change a simulation result.
 // Lane-count edges (odd sizes exercising the padded remainder pack), denormal
@@ -15,12 +17,14 @@
 #include <limits>
 #include <vector>
 
+#include "engine_scope.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
 #include "numeric/simd.hpp"
 #include "oxram/batch_kernel.hpp"
 #include "oxram/drift.hpp"
 #include "oxram/fast_cell.hpp"
+#include "reference_engine.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -51,9 +55,8 @@ struct DriftLanes {
 
   std::vector<double> run(num::simd::Backend backend, const DriftParams& p) const {
     std::vector<double> out(size());
-    const num::simd::Backend prev = num::simd::set_backend_override(backend);
+    const testing_support::ScopedBackend pack(backend);
     drifted_gap_batch(p, anchor, g_min, relax, drift, t, out);
-    num::simd::set_backend_override(prev);
     return out;
   }
 };
@@ -64,7 +67,7 @@ TEST(DriftSimd, PackMatchesReferenceWithin1e9AcrossLaneCounts) {
   for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 63u, 64u, 65u, 1021u}) {
     const DriftLanes lanes = DriftLanes::randomized(n, 0x5EEDF00Dull + n);
     std::vector<double> reference(n);
-    drifted_gap_batch_reference(p, lanes.anchor, lanes.g_min, lanes.relax, lanes.drift,
+    reference_drifted_gap_batch(p, lanes.anchor, lanes.g_min, lanes.relax, lanes.drift,
                                 lanes.t, reference);
     const std::vector<double> pack = lanes.run(num::simd::Backend::kScalar, p);
     for (std::size_t i = 0; i < n; ++i) {
@@ -110,7 +113,7 @@ TEST(DriftSimd, DenormalAndSaturatedEdges) {
 
   const std::vector<double> pack = lanes.run(num::simd::Backend::kScalar, p);
   std::vector<double> reference(lanes.size());
-  drifted_gap_batch_reference(p, lanes.anchor, lanes.g_min, lanes.relax, lanes.drift,
+  reference_drifted_gap_batch(p, lanes.anchor, lanes.g_min, lanes.relax, lanes.drift,
                               lanes.t, reference);
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const double scale = std::max(std::fabs(reference[i]), 1e-300);
@@ -130,8 +133,7 @@ TEST(DriftSimd, DisabledDriftCopiesAnchorsOnEveryBackend) {
   off.enabled = false;
   const DriftLanes lanes = DriftLanes::randomized(13, 0xD15AB1Eull);
   for (num::simd::Backend backend :
-       {num::simd::Backend::kReference, num::simd::Backend::kScalar,
-        num::simd::Backend::kAvx2}) {
+       {num::simd::Backend::kScalar, num::simd::Backend::kAvx2}) {
     const std::vector<double> out = lanes.run(backend, off);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       EXPECT_EQ(out[i], lanes.anchor[i]) << "lane " << i;
@@ -153,10 +155,20 @@ struct BatchSnapshot {
   std::vector<OperationResult> results;
 };
 
+// The engine a snapshot's batch runs on: the scalar reference stepper, or the
+// pack engine with the portable or the AVX2 pack forced.
+enum class Engine { kReference, kPortable, kAvx2 };
+
+std::vector<OperationResult> run_on(Engine engine, CellBatch& batch) {
+  if (engine == Engine::kReference) return ReferenceEngine::run(batch);
+  const testing_support::ScopedBackend pack(
+      engine == Engine::kAvx2 ? num::simd::Backend::kAvx2 : num::simd::Backend::kScalar);
+  return batch.run();
+}
+
 // Programs `n_lanes` sampled devices through a terminated RESET word (levels
-// cycle through the QLC allocation) under a forced engine.
-BatchSnapshot run_reset_word(num::simd::Backend engine, std::size_t n_lanes,
-                             std::uint64_t seed) {
+// cycle through the QLC allocation) on the given engine.
+BatchSnapshot run_reset_word(Engine engine, std::size_t n_lanes, std::uint64_t seed) {
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
   const std::size_t n_levels = config.allocation.count();
   Rng rng(seed);
@@ -176,18 +188,15 @@ BatchSnapshot run_reset_word(num::simd::Backend engine, std::size_t n_lanes,
     reset.iref = config.allocation.levels[k % n_levels].iref;
     batch.add_reset(cells[k], reset);
   }
-  BatchRunOptions options;
-  options.engine = engine;
   BatchSnapshot snap;
-  snap.results = batch.run(options);
+  snap.results = run_on(engine, batch);
   for (const FastCell& cell : cells) snap.gaps.push_back(cell.gap());
   return snap;
 }
 
 // Forms `n_lanes` virgin devices (exercises the voltage-cap and cold-start
 // scalar fallbacks, the forming barrier, and the virgin -> formed flip).
-BatchSnapshot run_forming(num::simd::Backend engine, std::size_t n_lanes,
-                          std::uint64_t seed) {
+BatchSnapshot run_forming(Engine engine, std::size_t n_lanes, std::uint64_t seed) {
   const StackConfig stack;
   const FormingOperation forming;
   Rng rng(seed);
@@ -202,10 +211,8 @@ BatchSnapshot run_forming(num::simd::Backend engine, std::size_t n_lanes,
     cells.emplace_back(devices[k], stack, devices[k].g_virgin, /*virgin=*/true);
   }
   for (FastCell& cell : cells) batch.add_forming(cell, forming);
-  BatchRunOptions options;
-  options.engine = engine;
   BatchSnapshot snap;
-  snap.results = batch.run(options);
+  snap.results = run_on(engine, batch);
   for (const FastCell& cell : cells) snap.gaps.push_back(cell.gap());
   return snap;
 }
@@ -226,15 +233,12 @@ void expect_snapshots_close(const BatchSnapshot& ref, const BatchSnapshot& simd,
   }
 }
 
-// The vector engine must track the scalar reference engine within the same
-// 1e-9 pin the reference engine holds against the one-cell scalar path —
+// The vector engine must track the scalar reference stepper within 1e-9,
 // including at odd lane counts where the tail pack is padded.
 TEST(BatchSimd, ResetWordMatchesReferenceEngineAcrossLaneCounts) {
   for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 33u}) {
-    const BatchSnapshot ref =
-        run_reset_word(num::simd::Backend::kReference, n, 0xBA7C4ull + n);
-    const BatchSnapshot simd =
-        run_reset_word(num::simd::Backend::kScalar, n, 0xBA7C4ull + n);
+    const BatchSnapshot ref = run_reset_word(Engine::kReference, n, 0xBA7C4ull + n);
+    const BatchSnapshot simd = run_reset_word(Engine::kPortable, n, 0xBA7C4ull + n);
     expect_snapshots_close(ref, simd, 1e-9);
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_TRUE(simd.results[k].terminated) << "lane " << k;
@@ -243,8 +247,8 @@ TEST(BatchSimd, ResetWordMatchesReferenceEngineAcrossLaneCounts) {
 }
 
 TEST(BatchSimd, FormingMatchesReferenceEngine) {
-  const BatchSnapshot ref = run_forming(num::simd::Backend::kReference, 7, 0xF0A3ull);
-  const BatchSnapshot simd = run_forming(num::simd::Backend::kScalar, 7, 0xF0A3ull);
+  const BatchSnapshot ref = run_forming(Engine::kReference, 7, 0xF0A3ull);
+  const BatchSnapshot simd = run_forming(Engine::kPortable, 7, 0xF0A3ull);
   expect_snapshots_close(ref, simd, 1e-9);
 }
 
@@ -254,9 +258,8 @@ TEST(BatchSimd, FormingMatchesReferenceEngine) {
 TEST(BatchSimd, Avx2BitwiseIdenticalToPortableEngine) {
   if (!num::simd::avx2_available()) GTEST_SKIP() << "host CPU lacks AVX2+FMA";
   for (std::size_t n : {5u, 16u}) {
-    const BatchSnapshot portable =
-        run_reset_word(num::simd::Backend::kScalar, n, 0xB17ull + n);
-    const BatchSnapshot avx = run_reset_word(num::simd::Backend::kAvx2, n, 0xB17ull + n);
+    const BatchSnapshot portable = run_reset_word(Engine::kPortable, n, 0xB17ull + n);
+    const BatchSnapshot avx = run_reset_word(Engine::kAvx2, n, 0xB17ull + n);
     for (std::size_t k = 0; k < n; ++k) {
       ASSERT_EQ(std::memcmp(&portable.gaps[k], &avx.gaps[k], sizeof(double)), 0)
           << "n=" << n << " lane=" << k;

@@ -142,8 +142,6 @@ TEST(SimdDispatch, BackendResolutionAndOverride) {
 
   const Backend prev = set_backend_override(Backend::kScalar);
   EXPECT_EQ(active_backend(), Backend::kScalar);
-  set_backend_override(Backend::kReference);
-  EXPECT_EQ(active_backend(), Backend::kReference);
   // Requesting AVX2 on a host without it degrades to the portable pack
   // instead of faulting.
   set_backend_override(Backend::kAvx2);
@@ -152,7 +150,18 @@ TEST(SimdDispatch, BackendResolutionAndOverride) {
 
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
   EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(backend_name(Backend::kReference), "reference");
+}
+
+// OXMLC_SIMD names a pack backend or auto. Anything else, including "off" and
+// "reference" (the scalar engines are test oracles, not backends), is
+// rejected; the environment lookup then warns and uses auto.
+TEST(SimdDispatch, ParseBackendAcceptsOnlyPackBackends) {
+  EXPECT_EQ(parse_backend("auto"), Backend::kAuto);
+  EXPECT_EQ(parse_backend("scalar"), Backend::kScalar);
+  EXPECT_EQ(parse_backend("avx2"), Backend::kAvx2);
+  for (const char* rejected : {"off", "reference", "", "AVX2", "scalar ", "sse"}) {
+    EXPECT_EQ(parse_backend(rejected), std::nullopt) << rejected;
+  }
 }
 
 }  // namespace
